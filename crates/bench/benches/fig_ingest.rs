@@ -89,10 +89,14 @@ fn bench(c: &mut Criterion) {
     session
         .run_cached(&templates[0].instantiate(0).unwrap(), OptimizerMode::RelGo)
         .unwrap();
+    let cached = RunOptions {
+        cached: true,
+        ..RunOptions::new(OptimizerMode::RelGo)
+    };
     group.bench_function("snapshot_cached_read", |b| {
         b.iter(|| {
             let snap = session.snapshot();
-            snap.run_cached(&templates[0].instantiate(1).unwrap(), OptimizerMode::RelGo)
+            snap.run_with(&templates[0].instantiate(1).unwrap(), &cached)
                 .unwrap()
         })
     });

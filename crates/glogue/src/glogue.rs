@@ -254,9 +254,9 @@ impl GLogue {
             .min_by_key(|&v| p.incident_edges(v).len())
             .ok_or_else(|| RelGoError::plan("pattern has no removable vertex"))?;
         let rest = decompose::remove(full, peel);
-        let (sub, map) = sub_pattern(p, rest);
+        let (sub, _) = sub_pattern(p, rest);
         let base = self.cardinality(&sub)?;
-        let factor = self.extension_rate(p, rest, peel, &map)?;
+        let factor = self.extension_rate(p, rest, peel)?;
         Ok(base * factor)
     }
 
@@ -268,13 +268,7 @@ impl GLogue {
     /// among those neighbors — divided by the count of the neighbors-only
     /// pattern. When the closure pattern exceeds `k` vertices, falls back to
     /// a product of pairwise (2-vertex) rates.
-    pub fn extension_rate(
-        &self,
-        p: &Pattern,
-        sub: VertexSet,
-        v: usize,
-        _sub_map: &[usize],
-    ) -> Result<f64> {
+    pub fn extension_rate(&self, p: &Pattern, sub: VertexSet, v: usize) -> Result<f64> {
         let nbrs: Vec<usize> = p
             .neighbors(v)
             .into_iter()

@@ -54,7 +54,7 @@ pub use relgo_delta::wal::{Wal, WalOptions, WalStats};
 pub use serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
 pub use session::{
     CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, QueryOutcome,
-    RecoveryReport, Session, SessionOptions, Snapshot,
+    RecoveryReport, RunOptions, Session, SessionOptions, Snapshot,
 };
 
 /// The convenient all-in-one import.
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
     pub use crate::session::{
         CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, QueryOutcome,
-        RecoveryReport, Session, SessionOptions, Snapshot,
+        RecoveryReport, RunOptions, Session, SessionOptions, Snapshot,
     };
     pub use relgo_cache::{CacheConfig, MetricsSnapshot, PinnedPlan, PlanCache};
     pub use relgo_common::morsel::TimeBudget;

@@ -22,11 +22,13 @@ use std::time::Duration;
 /// `relgo_queries_total` / `relgo_query_seconds` series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPath {
-    /// [`crate::Session::run`]: full optimize + execute.
+    /// [`crate::Session::run_with`] without `cached`: full optimize +
+    /// execute.
     Run,
-    /// [`crate::Session::run_cached`]: parameterize + cache probe + rebind.
+    /// [`crate::Session::run_with`] with `cached`: parameterize + cache
+    /// probe + rebind.
     Cached,
-    /// [`crate::PreparedStatement::execute`]: pinned-skeleton rebind.
+    /// [`crate::PreparedStatement::execute_with`]: pinned-skeleton rebind.
     Prepared,
     /// [`crate::PreparedStatement::execute_batch`]: shared batch state.
     Batched,

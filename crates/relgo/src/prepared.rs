@@ -1,13 +1,13 @@
 //! Prepared-statement handles: the serving fast path above the plan cache.
 //!
-//! [`Session::run_cached`] still pays per query for parameterization (the
-//! template descriptor is a rendered string) and a cache probe before it
-//! can rebind. [`Session::prepare`] hoists all of that to preparation time:
-//! the handle captures the parameterized template, its [`PlanKey`], and a
-//! **pinned** cache entry ([`relgo_cache::PinnedPlan`]), so
-//! [`PreparedStatement::execute`] only validates the binding vector against
-//! the slot signature and substitutes literals into the pinned skeleton —
-//! no parse, no `parameterize`, no cache probe.
+//! A cached [`Session::run_with`] still pays per query for parameterization
+//! (the template descriptor is a rendered string) and a cache probe before
+//! it can rebind. [`Session::prepare`] hoists all of that to preparation
+//! time: the handle captures the parameterized template, its [`PlanKey`],
+//! and a **pinned** cache entry ([`relgo_cache::PinnedPlan`]), so
+//! [`PreparedStatement::execute_with`] only validates the binding vector
+//! against the slot signature and substitutes literals into the pinned
+//! skeleton — no parse, no `parameterize`, no cache probe.
 //!
 //! The pin owns its skeleton: LRU eviction of the underlying cache entry
 //! never breaks a handle. Statistics-version invalidation still applies —
@@ -26,7 +26,7 @@
 //! [`PreparedStatement::execute`] calls.
 
 use crate::observe::QueryPath;
-use crate::session::{QueryOutcome, Session};
+use crate::session::{Planned, QueryOutcome, Session};
 use parking_lot::Mutex;
 use relgo_cache::PinnedPlan;
 use relgo_common::morsel::TimeBudget;
@@ -63,7 +63,8 @@ pub struct BatchOutcome {
     /// One result table per binding vector, in input order — bit-identical
     /// to executing each binding through [`PreparedStatement::execute`].
     pub tables: Vec<Table>,
-    /// Summed validate + rebind (or re-optimize) statistics for the batch.
+    /// Summed validate + rebind (or re-optimize) statistics for the batch;
+    /// `timed_out` is set when any re-optimization timed out.
     pub opt: OptStats,
     /// Wall time of the shared batched execution.
     pub exec_time: Duration,
@@ -93,7 +94,7 @@ impl Session {
             let version = cache.stats_version();
             let (plan, opt) = self.optimize(query, mode)?;
             let plan = Arc::new(plan);
-            // Like `run_cached`: a timed-out fallback plan is not worth
+            // Like a cached run: a timed-out fallback plan is not worth
             // pinning for every future instance — but the handle still
             // uses it until the next statistics bump.
             if !opt.timed_out {
@@ -146,8 +147,8 @@ impl PreparedStatement<'_> {
     /// Resolve one binding vector to an executable plan: the pinned
     /// skeleton rebound (the hot path), or a transparent re-optimize when
     /// the pin is stale / the rebind is ambiguous. Returns the plan, the
-    /// optimizer's visited count (0 on the pinned path), and whether the
-    /// pinned path served it.
+    /// re-optimization's statistics (zeroed on the pinned path; the caller
+    /// charges the elapsed time), and whether the pinned path served it.
     ///
     /// The pin mutex is held only to snapshot (or replace) the pin — the
     /// rebind and any re-optimization run outside it, so concurrent
@@ -156,7 +157,7 @@ impl PreparedStatement<'_> {
         &self,
         bindings: &[Value],
         trace: &mut QueryTrace,
-    ) -> Result<(Arc<PhysicalPlan>, u64, bool)> {
+    ) -> Result<(Arc<PhysicalPlan>, OptStats, bool)> {
         let cache = self.session.plan_cache();
         let snapshot = {
             let pinned = self.pinned.lock();
@@ -168,17 +169,17 @@ impl PreparedStatement<'_> {
             }) {
                 Ok(plan) => {
                     cache.note_prepared_hit();
-                    return Ok((Arc::new(plan), 0, true));
+                    return Ok((Arc::new(plan), OptStats::default(), true));
                 }
                 // Ambiguous rebind (slots that shared a value in the pin
-                // diverged): fall through to a fresh optimization, like
-                // `run_cached` does.
+                // diverged): fall through to a fresh optimization, like a
+                // cached run does.
                 Err(_) => cache.note_rebind_failure(),
             }
         } else {
             cache.note_prepared_invalidation();
         }
-        // Version snapshot before optimizing (see `Session::run_cached`):
+        // Version snapshot before optimizing (see `Session::run_with`):
         // a racing rebuild leaves the new entry and pin born stale.
         let version = cache.stats_version();
         let query = trace.time(Stage::Parameterize, || bind_query(&self.query, bindings))?;
@@ -194,43 +195,24 @@ impl PreparedStatement<'_> {
             );
         }
         *self.pinned.lock() = cache.pin_at(Arc::clone(&plan), bindings.to_vec(), version);
-        Ok((plan, opt.plans_visited, false))
+        Ok((plan, opt, false))
     }
 
     /// Execute the statement with fresh literal bindings (slot order, as
     /// produced by `parameterize` — workload templates expose matching
-    /// generators via `QueryTemplate::bindings`). The hot path is binding
-    /// validation + literal rebinding only; `outcome.cached` reports
-    /// whether the pinned skeleton served it.
+    /// generators via `QueryTemplate::bindings`).
     pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutcome> {
-        self.execute_with_deadline(bindings, None)
+        Ok(self.execute_with(bindings, None, ProfileMode::Off)?.0)
     }
 
-    /// [`PreparedStatement::execute`] under an optional wall-clock budget:
-    /// execution checks the deadline at every morsel boundary and aborts
-    /// with `DeadlineExceeded` on expiry.
-    pub fn execute_with_deadline(
-        &self,
-        bindings: &[Value],
-        deadline: Option<TimeBudget>,
-    ) -> Result<QueryOutcome> {
-        Ok(self.execute_traced(bindings, deadline, ProfileMode::Off)?.0)
-    }
-
-    /// [`PreparedStatement::execute_with_deadline`] with operator-level
-    /// profiling: result rows are bit-identical to the unprofiled path, and
-    /// the returned [`PlanReport`] joins the (possibly re-optimized) plan's
-    /// estimates with what execution measured.
-    pub fn execute_profiled(
-        &self,
-        bindings: &[Value],
-        deadline: Option<TimeBudget>,
-    ) -> Result<(QueryOutcome, PlanReport)> {
-        let (outcome, report) = self.execute_traced(bindings, deadline, ProfileMode::On)?;
-        Ok((outcome, report.expect("profiling was on")))
-    }
-
-    fn execute_traced(
+    /// [`PreparedStatement::execute`] under an optional wall-clock budget
+    /// (checked at every morsel boundary; expiry aborts with
+    /// `DeadlineExceeded`) and optional operator profiling (the
+    /// [`PlanReport`] joins the possibly re-optimized plan's estimates with
+    /// what execution measured; result rows are bit-identical either way).
+    /// The hot path is binding validation + literal rebinding only;
+    /// `outcome.cached` reports whether the pinned skeleton served it.
+    pub fn execute_with(
         &self,
         bindings: &[Value],
         deadline: Option<TimeBudget>,
@@ -239,32 +221,22 @@ impl PreparedStatement<'_> {
         let mut trace = QueryTrace::start();
         let opt_start = Instant::now();
         trace.time(Stage::Parse, || validate_bindings(&self.slot_sig, bindings))?;
-        let (plan, plans_visited, from_pin) = self.rebound_plan(bindings, &mut trace)?;
-        let opt = OptStats {
-            elapsed: opt_start.elapsed(),
-            plans_visited,
-            timed_out: false,
+        let (plan, mut opt, cached) = self.rebound_plan(bindings, &mut trace)?;
+        opt.elapsed = opt_start.elapsed();
+        let planned = Planned {
+            plan,
+            mode: self.mode,
+            opt,
+            cached,
         };
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.session
-                .execute_traced_with_deadline(&plan, self.mode, deadline, profile)
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.session
-            .metrics()
-            .record_query(QueryPath::Prepared, &trace);
-        Ok((
-            QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: from_pin,
-                trace,
-            },
-            report,
-        ))
+        self.session.execute_planned(
+            &self.session.state(),
+            trace,
+            &planned,
+            QueryPath::Prepared,
+            deadline,
+            profile,
+        )
     }
 
     /// Execute N binding vectors as one batch: every vector is validated
@@ -283,19 +255,16 @@ impl PreparedStatement<'_> {
                 .try_for_each(|bindings| validate_bindings(&self.slot_sig, bindings))
         })?;
         let mut plans = Vec::with_capacity(batch.len());
-        let mut plans_visited = 0u64;
+        let mut opt = OptStats::default();
         let mut pinned_queries = 0usize;
         for bindings in batch {
-            let (plan, visited, from_pin) = self.rebound_plan(bindings, &mut trace)?;
-            plans_visited += visited;
+            let (plan, stats, from_pin) = self.rebound_plan(bindings, &mut trace)?;
+            opt.plans_visited += stats.plans_visited;
+            opt.timed_out |= stats.timed_out;
             pinned_queries += usize::from(from_pin);
             plans.push(plan);
         }
-        let opt = OptStats {
-            elapsed: opt_start.elapsed(),
-            plans_visited,
-            timed_out: false,
-        };
+        opt.elapsed = opt_start.elapsed();
         let start = Instant::now();
         // Pin one epoch for the whole batch: a racing ingest commit must
         // not split the batch across two data versions.
@@ -305,7 +274,7 @@ impl PreparedStatement<'_> {
                 &plans,
                 &state.view,
                 &state.db,
-                &self.session.exec_config(self.mode),
+                &self.session.exec_config(self.mode, None),
             )
         })?;
         let exec_time = start.elapsed();
@@ -378,6 +347,26 @@ mod tests {
                 .cached
         );
         assert_eq!(session.cache_metrics().since(&before).prepared_hits, 1);
+    }
+
+    #[test]
+    fn stale_pin_reoptimize_reports_its_timeout() {
+        let options = SessionOptions {
+            opt_timeout: Duration::ZERO,
+            ..SessionOptions::default()
+        };
+        let (session, schema) = Session::snb_with(0.03, 42, options).unwrap();
+        let t = &snb_templates(&schema)[0];
+        let stmt = session
+            .prepare(&t.instantiate(0).unwrap(), OptimizerMode::UmbraLike)
+            .unwrap();
+        session.refresh_statistics().unwrap();
+        let out = stmt.execute(&t.bindings(1).unwrap()).unwrap();
+        assert!(!out.cached, "a stale pin re-optimizes");
+        assert!(
+            out.opt.timed_out,
+            "the re-optimization's timeout is reported"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Four serving regimes ([`ServeMode`]):
 //!
 //! * [`ServeMode::Cached`] — every query goes through
-//!   [`Session::run_cached`] (parameterize + cache probe + rebind);
+//!   a cached [`Session::run_with`] (parameterize + cache probe + rebind);
 //! * [`ServeMode::Prepared`] — each template is prepared **once** (shared
 //!   by all workers); per draw only the binding vector is generated and
 //!   [`PreparedStatement::execute`] rebinds the pinned skeleton;
@@ -51,7 +51,7 @@
 
 use crate::ingest::IngestBatch;
 use crate::prepared::PreparedStatement;
-use crate::session::Session;
+use crate::session::{RunOptions, Session};
 use relgo_cache::MetricsSnapshot;
 use relgo_common::{RelGoError, Result, Value};
 use relgo_core::OptimizerMode;
@@ -309,6 +309,11 @@ pub fn replay_concurrent_with(
             }
         }
     };
+    let fresh = RunOptions::new(mode);
+    let cached = RunOptions {
+        cached: true,
+        ..fresh
+    };
     let worker = |w: usize| -> Tally {
         let mut tally = Tally::default();
         match serve {
@@ -399,8 +404,8 @@ pub fn replay_concurrent_with(
                         let keep = step(&mut tally, &mut || {
                             let snap = session.snapshot();
                             let q = t.instantiate(draw)?;
-                            let o = snap.run_cached(&q, mode)?;
-                            let expected = snap.run(&q, mode)?.table;
+                            let o = snap.run_with(&q, &cached)?.0;
+                            let expected = snap.run_with(&q, &fresh)?.0.table;
                             verified(&o.table, &expected, t.name(), draw, "cached")?;
                             // Unverified prepared execute: keeps pin
                             // invalidation traffic flowing under commits.
@@ -527,8 +532,8 @@ pub fn replay_concurrent_with(
                 let draw = (threads * rounds) as u64;
                 let snap = session.snapshot();
                 let q = t.instantiate(draw)?;
-                let expected = snap.run(&q, mode)?.table;
-                let c = snap.run_cached(&q, mode)?;
+                let expected = snap.run_with(&q, &fresh)?.0.table;
+                let c = snap.run_with(&q, &cached)?.0;
                 verified(&c.table, &expected, t.name(), draw, "settled cached")?;
                 let p = stmt.execute(&t.bindings(draw)?)?;
                 verified(&p.table, &expected, t.name(), draw, "settled prepared")?;

@@ -24,7 +24,7 @@ use relgo_core::{
 use relgo_datagen::{generate_imdb, generate_snb, ImdbParams, SnbParams};
 use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore, RetentionReport};
 use relgo_delta::wal::{Wal, WalCompaction, WalOptions, WalStats};
-use relgo_exec::{execute_plan_with, ExecConfig, PlanReport, ProfileMode};
+use relgo_exec::{execute_plan, execute_plan_with, ExecConfig, PlanReport, ProfileMode};
 use relgo_glogue::GLogue;
 use relgo_graph::{GraphView, RGMapping};
 use relgo_metrics::trace::{QueryTrace, Stage, StageTimings};
@@ -53,9 +53,10 @@ pub struct SessionOptions {
     pub opt_timeout: Duration,
     /// Intermediate-result row budget (models OOM).
     pub row_limit: usize,
-    /// Plan-cache shard count (`run_cached`).
+    /// Plan-cache shard count (cached [`Session::run_with`]).
     pub plan_cache_shards: usize,
-    /// Plan-cache total entry capacity across shards (`run_cached`).
+    /// Plan-cache total entry capacity across shards (cached
+    /// [`Session::run_with`]).
     pub plan_cache_capacity: usize,
     /// Intra-query worker threads: morsel-parallel graph operators and
     /// seed-partitioned GLogue counting (1 = serial; parallel results are
@@ -124,7 +125,9 @@ pub struct QueryOutcome {
     pub opt: OptStats,
     /// Execution wall time.
     pub exec_time: Duration,
-    /// Whether the plan came from the plan cache (`run_cached` hit).
+    /// Whether the plan was reused rather than optimized for this query: a
+    /// plan-cache hit on a `cached` [`Session::run_with`], or a
+    /// prepared statement's pinned skeleton.
     pub cached: bool,
     /// Per-stage lifecycle timings of this query (also recorded into the
     /// session's metrics registry).
@@ -137,6 +140,51 @@ impl QueryOutcome {
     pub fn e2e(&self) -> Duration {
         self.opt.elapsed + self.exec_time
     }
+}
+
+/// The per-call options of [`Session::run_with`] and
+/// [`Snapshot::run_with`]: the axes one query run varies along.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOptions {
+    /// Which system's optimizer (and execution regime) to run under.
+    pub mode: OptimizerMode,
+    /// Reuse plans through the session's plan cache instead of optimizing
+    /// every query afresh.
+    pub cached: bool,
+    /// Wall-clock budget: execution checks it at every morsel boundary and
+    /// aborts with `DeadlineExceeded` on expiry (the serving edge maps that
+    /// to `503` + `Retry-After`). Construct the [`TimeBudget`] where the
+    /// request enters the system so queueing and planning count against it.
+    pub deadline: Option<TimeBudget>,
+    /// Operator-level profiling: when on, the run also returns the
+    /// per-operator [`PlanReport`] and records it into the operator/Q-error
+    /// metric series.
+    pub profile: ProfileMode,
+}
+
+impl RunOptions {
+    /// A plain run under `mode`: fresh optimization, no deadline, no
+    /// profiling.
+    pub fn new(mode: OptimizerMode) -> RunOptions {
+        RunOptions {
+            mode,
+            cached: false,
+            deadline: None,
+            profile: ProfileMode::Off,
+        }
+    }
+}
+
+/// A plan resolved by one of the planning paths (fresh optimization, plan
+/// cache, prepared pin), ready for [`Session::execute_planned`].
+pub(crate) struct Planned {
+    pub(crate) plan: Arc<PhysicalPlan>,
+    /// The mode the plan was made under; it picks the execution regime.
+    pub(crate) mode: OptimizerMode,
+    pub(crate) opt: OptStats,
+    /// Whether the plan was reused (cache hit or prepared pin) rather than
+    /// optimized for this query.
+    pub(crate) cached: bool,
 }
 
 /// The result of [`Session::explain_analyze`]: the executed plan rendered
@@ -682,7 +730,7 @@ impl Session {
         &self.options
     }
 
-    /// The plan cache backing [`Session::run_cached`].
+    /// The plan cache backing cached [`Session::run_with`] runs.
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.cache
     }
@@ -803,15 +851,9 @@ impl Session {
     }
 
     /// The execution configuration `mode` runs under (shared by the
-    /// per-query and batched execution paths).
-    pub(crate) fn exec_config(&self, mode: OptimizerMode) -> ExecConfig {
-        self.exec_config_with(mode, None)
-    }
-
-    /// [`Session::exec_config`] with a per-query wall-clock budget:
-    /// execution checks it at morsel boundaries and aborts with
-    /// `DeadlineExceeded` on expiry.
-    pub(crate) fn exec_config_with(
+    /// per-query and batched execution paths), with an optional per-query
+    /// wall-clock budget that execution checks at morsel boundaries.
+    pub(crate) fn exec_config(
         &self,
         mode: OptimizerMode,
         deadline: Option<TimeBudget>,
@@ -824,142 +866,77 @@ impl Session {
         }
     }
 
-    pub(crate) fn execute_at(
-        &self,
-        state: &SessionState,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> Result<Table> {
-        Ok(self
-            .execute_traced_at(state, plan, mode, deadline, ProfileMode::Off)?
-            .0)
-    }
-
-    /// Execute with optional operator-level profiling. When profiling is on,
-    /// plan-time metas (operator ids, estimates) are joined with the
-    /// run-time profiles into a [`PlanReport`] and recorded into the
-    /// session's operator/Q-error metric series. The result table is
-    /// bit-identical either way.
-    pub(crate) fn execute_traced_at(
-        &self,
-        state: &SessionState,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
-    ) -> Result<(Table, Option<PlanReport>)> {
-        let (table, prof) = execute_plan_with(
-            plan,
-            &state.view,
-            &state.db,
-            &self.exec_config_with(mode, deadline),
-            profile,
-        )?;
-        let report = match prof {
-            Some(p) => {
-                let report = PlanReport::join(plan.operator_metas(&state.db), p)?;
-                self.metrics.record_profile(&report);
-                Some(report)
-            }
-            None => None,
-        };
-        Ok((table, report))
-    }
-
     /// Execute a previously optimized plan under `mode`'s execution regime.
     pub fn execute(&self, plan: &PhysicalPlan, mode: OptimizerMode) -> Result<Table> {
-        self.execute_at(&self.state(), plan, mode, None)
+        let state = self.state();
+        execute_plan(plan, &state.view, &state.db, &self.exec_config(mode, None))
     }
 
-    /// [`Session::execute`] under an optional wall-clock budget.
-    pub fn execute_with_deadline(
-        &self,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> Result<Table> {
-        self.execute_at(&self.state(), plan, mode, deadline)
-    }
-
-    /// [`Session::execute_with_deadline`] with optional operator profiling
-    /// (the prepared-statement profiled path).
-    pub(crate) fn execute_traced_with_deadline(
-        &self,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
-    ) -> Result<(Table, Option<PlanReport>)> {
-        self.execute_traced_at(&self.state(), plan, mode, deadline, profile)
-    }
-
-    fn run_at(
+    /// The shared tail of every single-query path ([`Session::run_with`],
+    /// [`crate::PreparedStatement::execute_with`]): execute the resolved
+    /// plan, close the trace, record it under `path`, and build the
+    /// [`QueryOutcome`]. With profiling on, plan-time metas (operator ids,
+    /// estimates) are joined with the run-time profiles into a
+    /// [`PlanReport`] and recorded into the operator/Q-error metric series;
+    /// the result table is bit-identical either way.
+    pub(crate) fn execute_planned(
         &self,
         state: &SessionState,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
+        mut trace: QueryTrace,
+        planned: &Planned,
+        path: QueryPath,
+        deadline: Option<TimeBudget>,
         profile: ProfileMode,
     ) -> Result<(QueryOutcome, Option<PlanReport>)> {
-        let mut trace = QueryTrace::start();
-        let (plan, opt) = trace.time(Stage::Optimize, || self.optimize_at(state, query, mode))?;
+        let cfg = self.exec_config(planned.mode, deadline);
         let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.execute_traced_at(state, &plan, mode, None, profile)
+        let (table, report) = trace.time(Stage::Execute, || -> Result<_> {
+            let (table, prof) =
+                execute_plan_with(&planned.plan, &state.view, &state.db, &cfg, profile)?;
+            let report = prof
+                .map(|p| PlanReport::join(planned.plan.operator_metas(&state.db), p))
+                .transpose()?;
+            if let Some(report) = &report {
+                self.metrics.record_profile(report);
+            }
+            Ok((table, report))
         })?;
         let exec_time = start.elapsed();
         let trace = trace.finish();
-        self.metrics.record_query(QueryPath::Run, &trace);
+        self.metrics.record_query(path, &trace);
         Ok((
             QueryOutcome {
                 table,
-                opt,
+                opt: planned.opt,
                 exec_time,
-                cached: false,
+                cached: planned.cached,
                 trace,
             },
             report,
         ))
     }
 
-    /// Optimize + execute, reporting timings. The whole query runs against
-    /// one pinned epoch.
-    pub fn run(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        Ok(self.run_at(&self.state(), query, mode, ProfileMode::Off)?.0)
-    }
-
-    /// [`Session::run`] with operator-level profiling: the same execution
-    /// (bit-identical result rows), plus the per-operator estimate-vs-actual
-    /// report, recorded into the operator/Q-error metric series.
-    pub fn run_profiled(
-        &self,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
-    ) -> Result<(QueryOutcome, PlanReport)> {
-        let (outcome, report) = self.run_at(&self.state(), query, mode, ProfileMode::On)?;
-        Ok((outcome, report.expect("profiling was on")))
-    }
-
-    fn run_cached_at(
+    /// The planning half of [`Session::run_with`]: a fresh optimization,
+    /// or — with `opts.cached` — a plan-cache probe and rebind that falls
+    /// back to optimizing and inserting.
+    fn plan_at(
         &self,
         state: &SessionState,
         query: &SpjmQuery,
-        mode: OptimizerMode,
-    ) -> Result<QueryOutcome> {
-        Ok(self
-            .run_cached_at_with(state, query, mode, None, ProfileMode::Off)?
-            .0)
-    }
-
-    fn run_cached_at_with(
-        &self,
-        state: &SessionState,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
-    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
-        let mut trace = QueryTrace::start();
+        opts: &RunOptions,
+        trace: &mut QueryTrace,
+    ) -> Result<Planned> {
+        let mode = opts.mode;
+        if !opts.cached {
+            let (plan, opt) =
+                trace.time(Stage::Optimize, || self.optimize_at(state, query, mode))?;
+            return Ok(Planned {
+                plan: Arc::new(plan),
+                mode,
+                opt,
+                cached: false,
+            });
+        }
         let opt_start = Instant::now();
         let pq = trace.time(Stage::Parameterize, || parameterize(query));
         let key = pq.key(mode);
@@ -970,28 +947,15 @@ impl Session {
                 rebind_plan(&skeleton, &cached_params, &pq.params)
             }) {
                 Ok(plan) => {
-                    let opt = OptStats {
-                        elapsed: opt_start.elapsed(),
-                        plans_visited: 0,
-                        timed_out: false,
-                    };
-                    let start = Instant::now();
-                    let (table, report) = trace.time(Stage::Execute, || {
-                        self.execute_traced_at(state, &plan, mode, deadline, profile)
-                    })?;
-                    let exec_time = start.elapsed();
-                    let trace = trace.finish();
-                    self.metrics.record_query(QueryPath::Cached, &trace);
-                    return Ok((
-                        QueryOutcome {
-                            table,
-                            opt,
-                            exec_time,
-                            cached: true,
-                            trace,
+                    return Ok(Planned {
+                        plan: Arc::new(plan),
+                        mode,
+                        opt: OptStats {
+                            elapsed: opt_start.elapsed(),
+                            ..OptStats::default()
                         },
-                        report,
-                    ));
+                        cached: true,
+                    })
                 }
                 Err(_) => self.cache.note_rebind_failure(),
             }
@@ -1013,66 +977,80 @@ impl Session {
         }
         // Charge the full miss path (parameterize + lookup + optimize).
         opt.elapsed = opt_start.elapsed();
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.execute_traced_at(state, &plan, mode, deadline, profile)
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.metrics.record_query(QueryPath::Cached, &trace);
-        Ok((
-            QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: false,
-                trace,
-            },
-            report,
-        ))
+        Ok(Planned {
+            plan,
+            mode,
+            opt,
+            cached: false,
+        })
     }
 
-    /// The concurrent serving path: like [`Session::run`], but plans are
-    /// reused through the plan cache.
-    ///
-    /// The query is parameterized (comparison literals lifted into slots,
-    /// the rest fingerprinted isomorphism-invariantly); on a hit the cached
-    /// skeleton is rebound with this instance's literals and executed
-    /// without touching the optimizer. On a miss — or if rebinding is
-    /// ambiguous, which is counted as a *rebind failure* — the query is
-    /// optimized normally and the skeleton inserted for the next instance.
-    pub fn run_cached(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        self.run_cached_at(&self.state(), query, mode)
-    }
-
-    /// [`Session::run_cached`] under an optional wall-clock budget:
-    /// execution checks the deadline at every morsel boundary and aborts
-    /// with `DeadlineExceeded` on expiry (the serving edge maps that to
-    /// `503` + `Retry-After`). Construct the [`TimeBudget`] where the
-    /// request enters the system so queueing and planning count against it.
-    pub fn run_cached_with_deadline(
+    /// [`Session::run_with`] against a pinned state, also handing back the
+    /// executed plan (EXPLAIN ANALYZE renders it).
+    fn run_at(
         &self,
+        state: &SessionState,
         query: &SpjmQuery,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> Result<QueryOutcome> {
-        Ok(self
-            .run_cached_at_with(&self.state(), query, mode, deadline, ProfileMode::Off)?
-            .0)
-    }
-
-    /// [`Session::run_cached_with_deadline`] with operator-level profiling:
-    /// the serving path the server's `profile=1` requests take. Result rows
-    /// are bit-identical to the unprofiled path.
-    pub fn run_cached_profiled(
-        &self,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> Result<(QueryOutcome, PlanReport)> {
+        opts: &RunOptions,
+    ) -> Result<(QueryOutcome, Option<PlanReport>, Arc<PhysicalPlan>)> {
+        let mut trace = QueryTrace::start();
+        let planned = self.plan_at(state, query, opts, &mut trace)?;
+        let path = if opts.cached {
+            QueryPath::Cached
+        } else {
+            QueryPath::Run
+        };
         let (outcome, report) =
-            self.run_cached_at_with(&self.state(), query, mode, deadline, ProfileMode::On)?;
+            self.execute_planned(state, trace, &planned, path, opts.deadline, opts.profile)?;
+        Ok((outcome, report, planned.plan))
+    }
+
+    /// The query pipeline: plan (`opts.cached` reuses plans through the
+    /// plan cache — the parameterized query probes it, a hit rebinds the
+    /// cached skeleton with this instance's literals without touching the
+    /// optimizer, and a miss or ambiguous rebind optimizes and inserts),
+    /// then execute under `opts.deadline` with `opts.profile`. The whole
+    /// query runs against one pinned epoch. The [`PlanReport`] is `Some`
+    /// exactly when profiling is on; result rows are bit-identical either
+    /// way.
+    pub fn run_with(
+        &self,
+        query: &SpjmQuery,
+        opts: &RunOptions,
+    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
+        let (outcome, report, _) = self.run_at(&self.state(), query, opts)?;
+        Ok((outcome, report))
+    }
+
+    /// Optimize + execute, reporting timings.
+    pub fn run(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
+        Ok(self.run_with(query, &RunOptions::new(mode))?.0)
+    }
+
+    /// [`Session::run`] with operator-level profiling: the same execution
+    /// (bit-identical result rows), plus the per-operator estimate-vs-actual
+    /// report, recorded into the operator/Q-error metric series.
+    pub fn run_profiled(
+        &self,
+        query: &SpjmQuery,
+        mode: OptimizerMode,
+    ) -> Result<(QueryOutcome, PlanReport)> {
+        let opts = RunOptions {
+            profile: ProfileMode::On,
+            ..RunOptions::new(mode)
+        };
+        let (outcome, report) = self.run_with(query, &opts)?;
         Ok((outcome, report.expect("profiling was on")))
+    }
+
+    /// The concurrent serving path: [`Session::run_with`] with
+    /// `cached: true`.
+    pub fn run_cached(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
+        let opts = RunOptions {
+            cached: true,
+            ..RunOptions::new(mode)
+        };
+        Ok(self.run_with(query, &opts)?.0)
     }
 
     fn oracle_at(&self, state: &SessionState, query: &SpjmQuery) -> Result<Table> {
@@ -1108,28 +1086,17 @@ impl Session {
         query: &SpjmQuery,
         mode: OptimizerMode,
     ) -> Result<ExplainAnalyze> {
-        let state = self.state();
-        let mut trace = QueryTrace::start();
-        let (plan, opt) = trace.time(Stage::Optimize, || self.optimize_at(&state, query, mode))?;
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.execute_traced_at(&state, &plan, mode, None, ProfileMode::On)
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.metrics.record_query(QueryPath::Run, &trace);
+        let opts = RunOptions {
+            profile: ProfileMode::On,
+            ..RunOptions::new(mode)
+        };
+        let (outcome, report, plan) = self.run_at(&self.state(), query, &opts)?;
         let report = report.expect("profiling was on");
         let rendered = plan.explain_annotated(|id| report.annotation(id));
         Ok(ExplainAnalyze {
             rendered,
             report,
-            outcome: QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: false,
-                trace,
-            },
+            outcome,
         })
     }
 
@@ -1144,7 +1111,7 @@ impl Session {
         let expected = self.oracle_at(&state, query)?.sorted_rows();
         let mut outcomes = Vec::new();
         for mode in OptimizerMode::ALL {
-            let (outcome, _) = self.run_at(&state, query, mode, ProfileMode::Off)?;
+            let (outcome, _, _) = self.run_at(&state, query, &RunOptions::new(mode))?;
             if outcome.table.sorted_rows() != expected {
                 return Err(RelGoError::execution(format!(
                     "{} disagrees with the oracle ({} vs {} rows)",
@@ -1185,18 +1152,15 @@ impl Snapshot<'_> {
         &self.state.view
     }
 
-    /// Optimize + execute against the pinned epoch.
-    pub fn run(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        Ok(self
-            .session
-            .run_at(&self.state, query, mode, ProfileMode::Off)?
-            .0)
-    }
-
-    /// [`Session::run_cached`] against the pinned epoch (shares the
-    /// session's plan cache).
-    pub fn run_cached(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        self.session.run_cached_at(&self.state, query, mode)
+    /// [`Session::run_with`] against the pinned epoch (cached runs share
+    /// the session's plan cache).
+    pub fn run_with(
+        &self,
+        query: &SpjmQuery,
+        opts: &RunOptions,
+    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
+        let (outcome, report, _) = self.session.run_at(&self.state, query, opts)?;
+        Ok((outcome, report))
     }
 
     /// The oracle against the pinned epoch.
@@ -1264,9 +1228,13 @@ mod tests {
         let query = snb_queries::ic1(&schema, 1, 5).unwrap();
         let (run_out, run_rep) = session.run_profiled(&query, OptimizerMode::RelGo).unwrap();
         run_rep.reconcile().unwrap();
-        let (cached_out, cached_rep) = session
-            .run_cached_profiled(&query, OptimizerMode::RelGo, None)
-            .unwrap();
+        let opts = RunOptions {
+            cached: true,
+            profile: ProfileMode::On,
+            ..RunOptions::new(OptimizerMode::RelGo)
+        };
+        let (cached_out, cached_rep) = session.run_with(&query, &opts).unwrap();
+        let cached_rep = cached_rep.unwrap();
         cached_rep.reconcile().unwrap();
         assert_eq!(run_out.table.sorted_rows(), cached_out.table.sorted_rows());
         assert_eq!(

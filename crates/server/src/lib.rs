@@ -58,7 +58,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness: `ok epoch=E` (durable sessions append ` wal_bytes_since_checkpoint=B`) |
 //! | `GET /metrics` | Prometheus text format, the full registry |
-//! | `POST /query?template=NAME&draw=N[&mode=M][&tenant=T][&profile=1]` | instantiate + `run_cached` |
+//! | `POST /query?template=NAME&draw=N[&mode=M][&tenant=T][&profile=1]` | instantiate + cached `Session::run_with` |
 //! | `POST /prepare?template=NAME[&mode=M][&tenant=T]` | pin a prepared statement, returns `ok stmt=ID` |
 //! | `POST /execute?stmt=ID&draw=N[&tenant=T][&profile=1]` | execute a prepared handle with the template's bindings |
 //! | `POST /unprepare?stmt=ID` | release a prepared handle (and its pinned plan) |
@@ -1206,31 +1206,39 @@ fn handle_query(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) -> R
         Ok(q) => q,
         Err(e) => return Response::err(400, e),
     };
-    if let Some(want_tail) = profile_armed(req, shared) {
-        return match shared.session.run_cached_profiled(&query, mode, deadline) {
-            Ok((outcome, report)) => {
-                render_outcome(&outcome, mode, shared, guard, Some((&report, want_tail)))
-            }
-            Err(e) => engine_error(e, shared),
-        };
-    }
-    match shared
-        .session
-        .run_cached_with_deadline(&query, mode, deadline)
-    {
-        Ok(outcome) => render_outcome(&outcome, mode, shared, guard, None),
+    let (profile, want_tail) = profile_armed(req, shared);
+    let opts = RunOptions {
+        mode,
+        cached: true,
+        deadline,
+        profile,
+    };
+    match shared.session.run_with(&query, &opts) {
+        Ok((outcome, report)) => render_outcome(
+            &outcome,
+            mode,
+            shared,
+            guard,
+            report.as_ref().map(|r| (r, want_tail)),
+        ),
         Err(e) => engine_error(e, shared),
     }
 }
 
-/// Whether this request executes with operator profiling armed, and if so
+/// Whether this request executes with operator profiling armed, and
 /// whether the client asked for the profile back (`profile=1`). A
 /// configured slow-query threshold arms profiling on every query (else an
 /// over-threshold query would have no profile to log); the JSON tail is
 /// only sent when explicitly requested.
-fn profile_armed(req: &Request, shared: &Shared<'_>) -> Option<bool> {
+fn profile_armed(req: &Request, shared: &Shared<'_>) -> (ProfileMode, bool) {
     let want_tail = req.param("profile").is_some_and(|v| v == "1");
-    (want_tail || shared.config.slow_query_ms.is_some()).then_some(want_tail)
+    let armed = want_tail || shared.config.slow_query_ms.is_some();
+    let profile = if armed {
+        ProfileMode::On
+    } else {
+        ProfileMode::Off
+    };
+    (profile, want_tail)
 }
 
 fn handle_prepare(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) -> Response {
@@ -1326,26 +1334,17 @@ fn handle_execute(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) ->
             Err(r) => return r,
         },
     };
-    // validate_bindings runs inside execute_with_deadline, so a
-    // wrong-arity or wrong-type bind row surfaces as a typed error here.
-    if let Some(want_tail) = profile_armed(req, shared) {
-        return match stmt.execute_profiled(&bindings, deadline) {
-            Ok((outcome, report)) => render_outcome(
-                &outcome,
-                stmt.mode(),
-                shared,
-                guard,
-                Some((&report, want_tail)),
-            ),
-            Err(e) => match e {
-                RelGoError::DeadlineExceeded(_) => engine_error(e, shared),
-                RelGoError::Query(_) | RelGoError::Schema(_) => Response::err(400, e),
-                e => Response::err(500, e),
-            },
-        };
-    }
-    match stmt.execute_with_deadline(&bindings, deadline) {
-        Ok(outcome) => render_outcome(&outcome, stmt.mode(), shared, guard, None),
+    // validate_bindings runs inside execute_with, so a wrong-arity or
+    // wrong-type bind row surfaces as a typed error here.
+    let (profile, want_tail) = profile_armed(req, shared);
+    match stmt.execute_with(&bindings, deadline, profile) {
+        Ok((outcome, report)) => render_outcome(
+            &outcome,
+            stmt.mode(),
+            shared,
+            guard,
+            report.as_ref().map(|r| (r, want_tail)),
+        ),
         Err(e) => match e {
             RelGoError::DeadlineExceeded(_) => engine_error(e, shared),
             RelGoError::Query(_) | RelGoError::Schema(_) => Response::err(400, e),

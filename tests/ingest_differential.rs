@@ -500,7 +500,12 @@ fn snapshot_isolation_pins_query_results() {
     let t = &snb_templates(&schema)[0]; // IC1-2 over Knows
     let q = t.instantiate(3).unwrap();
     let snap = session.snapshot();
-    let frozen = snap.run(&q, OptimizerMode::RelGo).unwrap().table;
+    let fresh = RunOptions::new(OptimizerMode::RelGo);
+    let cached = RunOptions {
+        cached: true,
+        ..fresh
+    };
+    let frozen = snap.run_with(&q, &fresh).unwrap().0.table;
 
     // Uncommitted rows are invisible to everyone.
     let ops = gen_ops(db, 9, 10);
@@ -523,11 +528,11 @@ fn snapshot_isolation_pins_query_results() {
     assert_eq!(session.epoch(), 1);
     assert!(bit_identical(
         &frozen,
-        &snap.run(&q, OptimizerMode::RelGo).unwrap().table
+        &snap.run_with(&q, &fresh).unwrap().0.table
     ));
     assert!(bit_identical(
         &frozen,
-        &snap.run_cached(&q, OptimizerMode::RelGo).unwrap().table
+        &snap.run_with(&q, &cached).unwrap().0.table
     ));
     assert_eq!(frozen.sorted_rows(), snap.oracle(&q).unwrap().sorted_rows());
     // A fresh snapshot sees the new epoch.

@@ -6,19 +6,23 @@
 //! Property tests sweep random SNB/JOB template draws through
 //!
 //! 1. `Session::run_profiled` (fresh optimization),
-//! 2. `Session::run_cached_profiled` (plan-cache probe + rebind),
-//! 3. `PreparedStatement::execute_profiled` (pinned skeleton), and
+//! 2. `Session::run_with` with `cached` (plan-cache probe + rebind),
+//! 3. `PreparedStatement::execute_with` (pinned skeleton),
 //! 4. `Session::explain_analyze` (the rendered-report path),
+//! 5. `Snapshot::run_with` (fresh optimization on a pinned epoch), and
+//! 6. `Session::run_with` with `cached` under a generous deadline (the
+//!    serving edge's deadline-armed path),
 //!
 //! at 1, 2, and 8 intra-query threads, and assert that every profiled
 //! result is **bit-identical** to the unprofiled `Session::run` twin, and
 //! that the per-operator `(kind, rows_in, rows_out)` sequence is identical
-//! across all four regimes and all three thread counts.
+//! across all six regimes and all three thread counts.
 
 use proptest::prelude::*;
 use relgo::prelude::*;
 use relgo::workloads::templates::{job_templates, snb_templates, QueryTemplate};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -85,21 +89,51 @@ fn profiled_case(
         mode.name()
     );
 
-    let (outcome, cached_report) = session.run_cached_profiled(&q, mode, None).unwrap();
+    let profiled = RunOptions {
+        profile: ProfileMode::On,
+        ..RunOptions::new(mode)
+    };
+    let cached = RunOptions {
+        cached: true,
+        ..profiled
+    };
+    let (outcome, cached_report) = session.run_with(&q, &cached).unwrap();
+    let cached_report = cached_report.unwrap();
     assert!(
         bit_identical(&plain, &outcome.table),
-        "{name} draw {draw} {}: run_cached_profiled changed the result",
+        "{name} draw {draw} {}: cached run_with changed the result",
         mode.name()
     );
 
-    // Prepare from the draw-0 instance so execute_profiled really rebinds.
+    // Prepare from the draw-0 instance so execute_with really rebinds.
     let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
     let (outcome, prepared_report) = stmt
-        .execute_profiled(&t.bindings(draw).unwrap(), None)
+        .execute_with(&t.bindings(draw).unwrap(), None, ProfileMode::On)
         .unwrap();
+    let prepared_report = prepared_report.unwrap();
     assert!(
         bit_identical(&plain, &outcome.table),
-        "{name} draw {draw} {}: execute_profiled changed the result",
+        "{name} draw {draw} {}: execute_with changed the result",
+        mode.name()
+    );
+
+    let (outcome, snapshot_report) = session.snapshot().run_with(&q, &profiled).unwrap();
+    let snapshot_report = snapshot_report.unwrap();
+    assert!(
+        bit_identical(&plain, &outcome.table),
+        "{name} draw {draw} {}: Snapshot::run_with changed the result",
+        mode.name()
+    );
+
+    let deadline = RunOptions {
+        deadline: Some(TimeBudget::new(Duration::from_secs(600))),
+        ..cached
+    };
+    let (outcome, deadline_report) = session.run_with(&q, &deadline).unwrap();
+    let deadline_report = deadline_report.unwrap();
+    assert!(
+        bit_identical(&plain, &outcome.table),
+        "{name} draw {draw} {}: deadline-armed run_with changed the result",
         mode.name()
     );
 
@@ -112,9 +146,11 @@ fn profiled_case(
 
     let rows = op_rows(&run_report);
     for (regime, report) in [
-        ("run_cached_profiled", &cached_report),
-        ("execute_profiled", &prepared_report),
+        ("cached run_with", &cached_report),
+        ("execute_with", &prepared_report),
         ("explain_analyze", &ea.report),
+        ("Snapshot::run_with", &snapshot_report),
+        ("deadline-armed run_with", &deadline_report),
     ] {
         assert_eq!(
             rows,
