@@ -57,8 +57,8 @@ fn bench(c: &mut Criterion) {
 
     let m = snb.cache_metrics();
     println!(
-        "fig_cache snb cache metrics: hits={} misses={} evictions={} rebind_failures={}",
-        m.hits, m.misses, m.evictions, m.rebind_failures
+        "fig_cache snb cache metrics: hits={} misses={} evictions={}",
+        m.hits, m.misses, m.evictions
     );
 }
 

@@ -82,8 +82,8 @@ fn bench(c: &mut Criterion) {
 
     let m = snb.cache_metrics();
     println!(
-        "fig_prepared snb cache metrics: hits={} misses={} prepared_hits={} rebind_failures={}",
-        m.hits, m.misses, m.prepared_hits, m.rebind_failures
+        "fig_prepared snb cache metrics: hits={} misses={} prepared_hits={}",
+        m.hits, m.misses, m.prepared_hits
     );
 }
 

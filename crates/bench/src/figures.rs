@@ -462,11 +462,10 @@ pub fn fig_cache(cfg: &BenchConfig) -> Result<String> {
     let m = report.metrics;
     writeln!(
         out,
-        "  cache: hits={} misses={} evictions={} rebind_failures={} (hit ratio {:.0}%)",
+        "  cache: hits={} misses={} evictions={} (hit ratio {:.0}%)",
         m.hits,
         m.misses,
         m.evictions,
-        m.rebind_failures,
         m.hit_ratio() * 100.0
     )
     .ok();
@@ -647,8 +646,8 @@ pub fn fig_prepared(cfg: &BenchConfig) -> Result<String> {
     let m = snb.cache_metrics();
     writeln!(
         out,
-        "  cache: hits={} misses={} prepared_hits={} prepared_invalidations={} rebind_failures={}",
-        m.hits, m.misses, m.prepared_hits, m.prepared_invalidations, m.rebind_failures
+        "  cache: hits={} misses={} prepared_hits={} prepared_invalidations={}",
+        m.hits, m.misses, m.prepared_hits, m.prepared_invalidations
     )
     .ok();
     Ok(out)

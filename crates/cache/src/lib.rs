@@ -9,8 +9,9 @@
 //! optimized [`PhysicalPlan`] skeletons under [`PlanKey`]s — `(optimizer
 //! mode, canonical pattern fingerprint, relational shape, parameter-slot
 //! signature)` as produced by [`relgo_core::parameterize`] — together with
-//! the literal bindings each skeleton was optimized with, so a hit only
-//! needs [`relgo_core::rebind_plan`] before execution.
+//! the literal bindings each skeleton was optimized with. Skeletons carry
+//! their literals as positional slots, so a hit only needs the
+//! [`relgo_core::rebind_plan`] substitution before execution.
 //!
 //! Design:
 //!
@@ -24,8 +25,8 @@
 //!   entries remember the version they were planned under and
 //!   [`PlanCache::invalidate_all`] bumps it (GLogue/catalog rebuilds call
 //!   this), so stale plans die lazily on their next lookup.
-//! * **Metrics** — hits, misses, evictions, invalidations and rebind
-//!   failures are atomic counters, snapshot via [`PlanCache::metrics`].
+//! * **Metrics** — hits, misses, evictions, invalidations and prepared
+//!   outcomes are atomic counters, snapshot via [`PlanCache::metrics`].
 //! * **Pinning** — a prepared-statement handle captures a [`PinnedPlan`]
 //!   snapshot via [`PlanCache::pin`]. The pin owns its skeleton (`Arc`), so
 //!   LRU eviction of the underlying entry never breaks the handle, while
@@ -64,7 +65,6 @@ pub struct CacheMetrics {
     misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    rebind_failures: AtomicU64,
     prepared_hits: AtomicU64,
     prepared_invalidations: AtomicU64,
 }
@@ -80,9 +80,6 @@ pub struct MetricsSnapshot {
     pub evictions: u64,
     /// `invalidate_all` calls (statistics-version bumps).
     pub invalidations: u64,
-    /// Hits whose skeleton could not be rebound (caller fell back to the
-    /// optimizer).
-    pub rebind_failures: u64,
     /// Prepared-statement executes served from a live pinned skeleton
     /// (rebind only — no parameterize, no cache probe).
     pub prepared_hits: u64,
@@ -99,7 +96,6 @@ impl MetricsSnapshot {
             misses: self.misses - earlier.misses,
             evictions: self.evictions - earlier.evictions,
             invalidations: self.invalidations - earlier.invalidations,
-            rebind_failures: self.rebind_failures - earlier.rebind_failures,
             prepared_hits: self.prepared_hits - earlier.prepared_hits,
             prepared_invalidations: self.prepared_invalidations - earlier.prepared_invalidations,
         }
@@ -108,13 +104,12 @@ impl MetricsSnapshot {
     /// The counters as stable `(name, value)` pairs — what an
     /// observability layer folds into a metrics export (the names become
     /// series suffixes, so they are part of the public scrape surface).
-    pub fn counters(&self) -> [(&'static str, u64); 7] {
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("hits", self.hits),
             ("misses", self.misses),
             ("evictions", self.evictions),
             ("invalidations", self.invalidations),
-            ("rebind_failures", self.rebind_failures),
             ("prepared_hits", self.prepared_hits),
             ("prepared_invalidations", self.prepared_invalidations),
         ]
@@ -300,12 +295,6 @@ impl PlanCache {
         );
     }
 
-    /// Record that a hit's skeleton could not be rebound (the caller fell
-    /// back to the optimizer).
-    pub fn note_rebind_failure(&self) {
-        self.metrics.rebind_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Pin `plan` under the current statistics version. The returned
     /// snapshot stays executable across LRU evictions; staleness is checked
     /// with [`PlanCache::pin_is_current`].
@@ -352,7 +341,6 @@ impl PlanCache {
             misses: self.metrics.misses.load(Ordering::Relaxed),
             evictions: self.metrics.evictions.load(Ordering::Relaxed),
             invalidations: self.metrics.invalidations.load(Ordering::Relaxed),
-            rebind_failures: self.metrics.rebind_failures.load(Ordering::Relaxed),
             prepared_hits: self.metrics.prepared_hits.load(Ordering::Relaxed),
             prepared_invalidations: self.metrics.prepared_invalidations.load(Ordering::Relaxed),
         }
@@ -518,7 +506,6 @@ mod tests {
             misses: 4,
             evictions: 1,
             invalidations: 0,
-            rebind_failures: 0,
             ..Default::default()
         };
         let b = MetricsSnapshot {
@@ -526,7 +513,6 @@ mod tests {
             misses: 5,
             evictions: 1,
             invalidations: 1,
-            rebind_failures: 2,
             prepared_hits: 3,
             prepared_invalidations: 1,
         };

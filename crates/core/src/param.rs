@@ -9,20 +9,23 @@
 //!   [`relgo_pattern::canonical_form`] — into an isomorphism-invariant
 //!   template descriptor. Together with the [`OptimizerMode`] and the
 //!   parameter-slot signature this forms [`PlanKey`], under which renamed
-//!   queries with different constants share one plan-cache entry.
-//! * [`rebind_plan`] takes a cached [`PhysicalPlan`] skeleton (optimized for
-//!   one set of literals) and substitutes fresh bindings into every
-//!   predicate — pattern constraints, graph operators and relational
-//!   operators alike — without re-running the optimizer.
+//!   queries with different constants share one plan-cache entry. The same
+//!   pass returns the *slotted* query, with slot `i` written as
+//!   [`ScalarExpr::Param`]`(i, value)`.
+//! * [`rebind_plan`] takes a [`PhysicalPlan`] skeleton optimized from a
+//!   slotted query and substitutes fresh bindings into every predicate —
+//!   pattern constraints, graph operators and relational operators alike —
+//!   without re-running the optimizer; [`bind_query`] does the same to the
+//!   slotted query itself.
 //!
 //! A literal is a parameter slot iff it is the literal side of a comparison
 //! whose other side is a non-literal expression (`col = lit`, `lit < expr`).
 //! Everything else — `IN`-list members, `STARTS WITH` prefixes, standalone
-//! boolean literals — is part of the template structure. Rebinding matches
-//! plan literals against the cached instance's slot values; if two slots
-//! shared a value but now diverge (or a slot value cannot be found in the
-//! plan), rebinding reports an error and the caller falls back to a full
-//! optimizer run, counting a *rebind failure*.
+//! boolean literals — is part of the template structure. `parameterize` is
+//! the only code that applies this rule. Binding afterwards is positional —
+//! `Param(i, _)` becomes `Param(i, new[i])` — so it cannot be ambiguous when
+//! two slots share a value, and cannot fail for a binding vector of the
+//! template's arity.
 
 use crate::optimizer::OptimizerMode;
 use crate::rel_plan::{PhysicalPlan, RelOp};
@@ -47,6 +50,9 @@ pub struct ParamQuery {
     pub params: Vec<Value>,
     /// One variant tag per slot (`i`/`f`/`s`/`b`/`d`/`n`).
     pub slot_sig: String,
+    /// The query with slot `i` written as `ScalarExpr::Param(i, params[i])`.
+    /// Plans optimized from it rebind positionally.
+    pub query: SpjmQuery,
 }
 
 impl ParamQuery {
@@ -145,77 +151,67 @@ fn render_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Is `e` a literal? (Slot detection: `Cmp` with exactly one literal side.)
-fn is_lit(e: &ScalarExpr) -> bool {
-    matches!(e, ScalarExpr::Lit(_))
-}
-
-/// Render `expr` into `out` with parameter-position literals lifted into
-/// `params` and printed as `?N`.
-fn render_template(expr: &ScalarExpr, out: &mut String, params: &mut Vec<Value>) {
+/// Render `expr` into `out` with parameter-position literals printed as
+/// `?N` and lifted into `params`. Returns `expr` with slot `N` written as
+/// `Param(N, value)` and every other literal as a plain `Lit`.
+fn render_template(expr: &ScalarExpr, out: &mut String, params: &mut Vec<Value>) -> ScalarExpr {
     match expr {
         ScalarExpr::Col(i) => {
             let _ = write!(out, "${i}");
+            ScalarExpr::Col(*i)
         }
-        ScalarExpr::Lit(v) => render_value(out, v),
+        ScalarExpr::Lit(v) | ScalarExpr::Param(_, v) => {
+            render_value(out, v);
+            ScalarExpr::Lit(v.clone())
+        }
         ScalarExpr::Cmp(op, l, r) => {
-            match (is_lit(l), is_lit(r)) {
-                (false, true) => {
-                    render_template(l, out, params);
-                    let _ = write!(out, " {op} ?{}", params.len());
-                    if let ScalarExpr::Lit(v) = r.as_ref() {
-                        params.push(v.clone());
-                    }
-                }
-                (true, false) => {
-                    let _ = write!(out, "?{} {op} ", params.len());
-                    if let ScalarExpr::Lit(v) = l.as_ref() {
-                        params.push(v.clone());
-                    }
-                    render_template(r, out, params);
-                }
-                _ => {
-                    // Two literals or two expressions: structural.
-                    render_template(l, out, params);
-                    let _ = write!(out, " {op} ");
-                    render_template(r, out, params);
-                }
-            }
+            // The slot rule: a literal is a slot iff the other side of its
+            // comparison is not a literal.
+            let slotted = l.literal().is_some() != r.literal().is_some();
+            let l = render_side(l, slotted, out, params);
+            let _ = write!(out, " {op} ");
+            let r = render_side(r, slotted, out, params);
+            ScalarExpr::Cmp(*op, Box::new(l), Box::new(r))
         }
         ScalarExpr::And(l, r) => {
             out.push('(');
-            render_template(l, out, params);
+            let l = render_template(l, out, params);
             out.push_str(" AND ");
-            render_template(r, out, params);
+            let r = render_template(r, out, params);
             out.push(')');
+            l.and(r)
         }
         ScalarExpr::Or(l, r) => {
             out.push('(');
-            render_template(l, out, params);
+            let l = render_template(l, out, params);
             out.push_str(" OR ");
-            render_template(r, out, params);
+            let r = render_template(r, out, params);
             out.push(')');
+            l.or(r)
         }
         ScalarExpr::Not(e) => {
             out.push_str("NOT ");
-            render_template(e, out, params);
+            ScalarExpr::Not(Box::new(render_template(e, out, params)))
         }
         ScalarExpr::StartsWith(e, p) => {
-            render_template(e, out, params);
+            let e = render_template(e, out, params);
             out.push_str(" STARTS WITH ");
             render_str(out, p);
+            ScalarExpr::StartsWith(Box::new(e), p.clone())
         }
         ScalarExpr::Contains(e, p) => {
-            render_template(e, out, params);
+            let e = render_template(e, out, params);
             out.push_str(" CONTAINS ");
             render_str(out, p);
+            ScalarExpr::Contains(Box::new(e), p.clone())
         }
         ScalarExpr::IsNull(e) => {
-            render_template(e, out, params);
+            let e = render_template(e, out, params);
             out.push_str(" IS NULL");
+            ScalarExpr::IsNull(Box::new(e))
         }
         ScalarExpr::InList(e, list) => {
-            render_template(e, out, params);
+            let e = render_template(e, out, params);
             out.push_str(" IN (");
             for (i, v) in list.iter().enumerate() {
                 if i > 0 {
@@ -224,7 +220,27 @@ fn render_template(expr: &ScalarExpr, out: &mut String, params: &mut Vec<Value>)
                 render_value(out, v);
             }
             out.push(')');
+            ScalarExpr::InList(Box::new(e), list.clone())
         }
+    }
+}
+
+/// One side of a comparison: the next slot when `slotted` and `side` is the
+/// literal, otherwise rendered structurally.
+fn render_side(
+    side: &ScalarExpr,
+    slotted: bool,
+    out: &mut String,
+    params: &mut Vec<Value>,
+) -> ScalarExpr {
+    match side.literal() {
+        Some(v) if slotted => {
+            let slot = params.len();
+            let _ = write!(out, "?{slot}");
+            params.push(v.clone());
+            ScalarExpr::Param(slot, v.clone())
+        }
+        _ => render_template(side, out, params),
     }
 }
 
@@ -268,12 +284,15 @@ pub fn parameterize(query: &SpjmQuery) -> ParamQuery {
     let _ = write!(shape, "join:{:?};", query.join_on);
 
     shape.push_str("sel:");
-    if let Some(sel) = &query.selection {
-        render_template(sel, &mut shape, &mut params);
-    }
+    let selection = query
+        .selection
+        .as_ref()
+        .map(|sel| render_template(sel, &mut shape, &mut params));
     shape.push(';');
 
-    // Pattern predicates in canonical element order.
+    // Pattern predicates in canonical element order (the slot order), kept
+    // by element index for `map_predicates` (vertices, then edges).
+    let mut vpreds: Vec<Option<ScalarExpr>> = vec![None; query.pattern.vertex_count()];
     let mut by_canon: Vec<(usize, usize)> = (0..query.pattern.vertex_count())
         .map(|v| (form.vertex_perm[v], v))
         .collect();
@@ -282,10 +301,11 @@ pub fn parameterize(query: &SpjmQuery) -> ParamQuery {
     for &(canon, old) in &by_canon {
         if let Some(p) = &query.pattern.vertex(old).predicate {
             let _ = write!(shape, "v{canon}[");
-            render_template(p, &mut shape, &mut params);
+            vpreds[old] = Some(render_template(p, &mut shape, &mut params));
             shape.push_str("];");
         }
     }
+    let mut epreds: Vec<Option<ScalarExpr>> = vec![None; query.pattern.edge_count()];
     let mut edges_by_canon: Vec<(usize, usize)> = (0..query.pattern.edge_count())
         .map(|e| (form.edge_perm[e], e))
         .collect();
@@ -294,10 +314,14 @@ pub fn parameterize(query: &SpjmQuery) -> ParamQuery {
     for &(canon, old) in &edges_by_canon {
         if let Some(p) = &query.pattern.edge(old).predicate {
             let _ = write!(shape, "e{canon}[");
-            render_template(p, &mut shape, &mut params);
+            epreds[old] = Some(render_template(p, &mut shape, &mut params));
             shape.push_str("];");
         }
     }
+    let mut slotted = vpreds.into_iter().chain(epreds).flatten();
+    let pattern = query
+        .pattern
+        .map_predicates(&mut |_| slotted.next().expect("one slotted predicate per site"));
 
     let _ = write!(shape, "proj:{:?};", query.projection);
     shape.push_str("agg:");
@@ -316,135 +340,66 @@ pub fn parameterize(query: &SpjmQuery) -> ParamQuery {
     }
     let _ = write!(shape, "limit:{:?}", query.limit);
 
-    let slot_sig: String = params.iter().map(slot_tag).collect();
     ParamQuery {
         canon_fingerprint: form.code.fingerprint(),
         shape,
+        slot_sig: binding_signature(&params),
         params,
-        slot_sig,
+        query: SpjmQuery {
+            pattern,
+            selection,
+            columns: query.columns.clone(),
+            tables: query.tables.clone(),
+            join_on: query.join_on.clone(),
+            projection: query.projection.clone(),
+            aggregates: query.aggregates.clone(),
+            distinct: query.distinct,
+            order_by: query.order_by.clone(),
+            limit: query.limit,
+        },
     }
 }
 
-/// The literal-substitution map of one rebind, with conflict detection.
-struct Bindings {
-    pairs: Vec<(Value, Value)>,
-    hit: Vec<bool>,
-}
-
-impl Bindings {
-    fn build(old: &[Value], new: &[Value]) -> Result<Bindings> {
-        if old.len() != new.len() {
-            return Err(RelGoError::plan(format!(
-                "rebind arity mismatch: {} cached slots, {} bindings",
-                old.len(),
-                new.len()
-            )));
-        }
-        let mut pairs: Vec<(Value, Value)> = Vec::with_capacity(old.len());
-        for (o, n) in old.iter().zip(new) {
-            match pairs.iter().find(|(po, _)| po == o) {
-                Some((_, pn)) if pn == n => {}
-                Some((_, pn)) => {
-                    return Err(RelGoError::plan(format!(
-                        "ambiguous rebind: cached literal {o} maps to both {pn} and {n}"
-                    )))
-                }
-                None => pairs.push((o.clone(), n.clone())),
-            }
-        }
-        let hit = vec![false; pairs.len()];
-        Ok(Bindings { pairs, hit })
-    }
-
-    fn substitute(&mut self, v: &Value) -> Option<Value> {
-        for (i, (o, n)) in self.pairs.iter().enumerate() {
-            if o == v {
-                self.hit[i] = true;
-                return Some(n.clone());
-            }
-        }
-        None
-    }
-
-    fn check_complete(&self) -> Result<()> {
-        for (i, hit) in self.hit.iter().enumerate() {
-            if !hit {
-                return Err(RelGoError::plan(format!(
-                    "rebind: cached literal {} not found in the plan",
-                    self.pairs[i].0
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Substitute parameter-position literals of `expr` through `b`.
-fn rebind_expr(expr: &ScalarExpr, b: &mut Bindings) -> ScalarExpr {
+/// Rewrite every slot of `expr` to `Param(i, bind(i, value))`. Everything
+/// else, plain literals included, is copied: which literals are slots was
+/// decided once, by [`parameterize`].
+fn bind_expr(expr: &ScalarExpr, bind: &mut dyn FnMut(usize, &Value) -> Value) -> ScalarExpr {
+    let mut go = |e: &ScalarExpr| Box::new(bind_expr(e, bind));
     match expr {
-        ScalarExpr::Cmp(op, l, r) => {
-            let rebound_side = |side: &ScalarExpr, b: &mut Bindings| match side {
-                ScalarExpr::Lit(v) => match b.substitute(v) {
-                    Some(n) => ScalarExpr::Lit(n),
-                    None => side.clone(),
-                },
-                other => rebind_expr(other, b),
-            };
-            match (is_lit(l), is_lit(r)) {
-                (false, true) => ScalarExpr::Cmp(
-                    *op,
-                    Box::new(rebind_expr(l, b)),
-                    Box::new(rebound_side(r, b)),
-                ),
-                (true, false) => ScalarExpr::Cmp(
-                    *op,
-                    Box::new(rebound_side(l, b)),
-                    Box::new(rebind_expr(r, b)),
-                ),
-                _ => ScalarExpr::Cmp(
-                    *op,
-                    Box::new(rebind_expr(l, b)),
-                    Box::new(rebind_expr(r, b)),
-                ),
-            }
-        }
-        ScalarExpr::And(l, r) => {
-            ScalarExpr::And(Box::new(rebind_expr(l, b)), Box::new(rebind_expr(r, b)))
-        }
-        ScalarExpr::Or(l, r) => {
-            ScalarExpr::Or(Box::new(rebind_expr(l, b)), Box::new(rebind_expr(r, b)))
-        }
-        ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(rebind_expr(e, b))),
-        ScalarExpr::StartsWith(e, p) => {
-            ScalarExpr::StartsWith(Box::new(rebind_expr(e, b)), p.clone())
-        }
-        ScalarExpr::Contains(e, p) => ScalarExpr::Contains(Box::new(rebind_expr(e, b)), p.clone()),
-        ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(rebind_expr(e, b))),
-        ScalarExpr::InList(e, list) => {
-            ScalarExpr::InList(Box::new(rebind_expr(e, b)), list.clone())
-        }
+        ScalarExpr::Param(i, v) => ScalarExpr::Param(*i, bind(*i, v)),
+        ScalarExpr::Cmp(op, l, r) => ScalarExpr::Cmp(*op, go(l), go(r)),
+        ScalarExpr::And(l, r) => ScalarExpr::And(go(l), go(r)),
+        ScalarExpr::Or(l, r) => ScalarExpr::Or(go(l), go(r)),
+        ScalarExpr::Not(e) => ScalarExpr::Not(go(e)),
+        ScalarExpr::StartsWith(e, p) => ScalarExpr::StartsWith(go(e), p.clone()),
+        ScalarExpr::Contains(e, p) => ScalarExpr::Contains(go(e), p.clone()),
+        ScalarExpr::IsNull(e) => ScalarExpr::IsNull(go(e)),
+        ScalarExpr::InList(e, list) => ScalarExpr::InList(go(e), list.clone()),
         leaf @ (ScalarExpr::Col(_) | ScalarExpr::Lit(_)) => leaf.clone(),
     }
 }
 
-fn rebind_opt(p: &Option<ScalarExpr>, b: &mut Bindings) -> Option<ScalarExpr> {
-    p.as_ref().map(|e| rebind_expr(e, b))
+fn rebind_opt(
+    p: &Option<ScalarExpr>,
+    bind: &mut dyn FnMut(usize, &Value) -> Value,
+) -> Option<ScalarExpr> {
+    p.as_ref().map(|e| bind_expr(e, bind))
 }
 
 fn rebind_graph_op(
     op: &crate::graph_plan::GraphOp,
-    b: &mut Bindings,
+    bind: &mut dyn FnMut(usize, &Value) -> Value,
 ) -> crate::graph_plan::GraphOp {
     use crate::graph_plan::GraphOp;
     match op {
         GraphOp::ScanVertex { v, predicate, ann } => GraphOp::ScanVertex {
             v: *v,
-            predicate: rebind_opt(predicate, b),
+            predicate: rebind_opt(predicate, bind),
             ann: *ann,
         },
         GraphOp::ScanEdge { e, predicate, ann } => GraphOp::ScanEdge {
             e: *e,
-            predicate: rebind_opt(predicate, b),
+            predicate: rebind_opt(predicate, bind),
             ann: *ann,
         },
         GraphOp::Expand {
@@ -458,14 +413,14 @@ fn rebind_graph_op(
             vertex_predicate,
             ann,
         } => GraphOp::Expand {
-            input: Box::new(rebind_graph_op(input, b)),
+            input: Box::new(rebind_graph_op(input, bind)),
             from: *from,
             edge: *edge,
             to: *to,
             dir: *dir,
             emit_edge: *emit_edge,
-            edge_predicate: rebind_opt(edge_predicate, b),
-            vertex_predicate: rebind_opt(vertex_predicate, b),
+            edge_predicate: rebind_opt(edge_predicate, bind),
+            vertex_predicate: rebind_opt(vertex_predicate, bind),
             ann: *ann,
         },
         GraphOp::ExpandIntersect {
@@ -476,11 +431,11 @@ fn rebind_graph_op(
             vertex_predicate,
             ann,
         } => GraphOp::ExpandIntersect {
-            input: Box::new(rebind_graph_op(input, b)),
+            input: Box::new(rebind_graph_op(input, bind)),
             legs: legs.clone(),
             to: *to,
             emit_edges: *emit_edges,
-            vertex_predicate: rebind_opt(vertex_predicate, b),
+            vertex_predicate: rebind_opt(vertex_predicate, bind),
             ann: *ann,
         },
         GraphOp::JoinSub {
@@ -490,8 +445,8 @@ fn rebind_graph_op(
             on_edges,
             ann,
         } => GraphOp::JoinSub {
-            left: Box::new(rebind_graph_op(left, b)),
-            right: Box::new(rebind_graph_op(right, b)),
+            left: Box::new(rebind_graph_op(left, bind)),
+            right: Box::new(rebind_graph_op(right, bind)),
             on_vertices: on_vertices.clone(),
             on_edges: on_edges.clone(),
             ann: *ann,
@@ -502,190 +457,106 @@ fn rebind_graph_op(
             predicate,
             ann,
         } => GraphOp::FilterVertex {
-            input: Box::new(rebind_graph_op(input, b)),
+            input: Box::new(rebind_graph_op(input, bind)),
             v: *v,
-            predicate: rebind_expr(predicate, b),
+            predicate: bind_expr(predicate, bind),
             ann: *ann,
         },
     }
 }
 
-fn rebind_rel_op(op: &RelOp, b: &mut Bindings) -> RelOp {
+fn rebind_rel_op(op: &RelOp, bind: &mut dyn FnMut(usize, &Value) -> Value) -> RelOp {
     match op {
         RelOp::ScanGraphTable { graph, columns } => RelOp::ScanGraphTable {
-            graph: rebind_graph_op(graph, b),
+            graph: rebind_graph_op(graph, bind),
             columns: columns.clone(),
         },
         RelOp::ScanTable { table, predicate } => RelOp::ScanTable {
             table: table.clone(),
-            predicate: rebind_opt(predicate, b),
+            predicate: rebind_opt(predicate, bind),
         },
         RelOp::HashJoin { left, right, keys } => RelOp::HashJoin {
-            left: Box::new(rebind_rel_op(left, b)),
-            right: Box::new(rebind_rel_op(right, b)),
+            left: Box::new(rebind_rel_op(left, bind)),
+            right: Box::new(rebind_rel_op(right, bind)),
             keys: keys.clone(),
         },
         RelOp::Filter { input, predicate } => RelOp::Filter {
-            input: Box::new(rebind_rel_op(input, b)),
-            predicate: rebind_expr(predicate, b),
+            input: Box::new(rebind_rel_op(input, bind)),
+            predicate: bind_expr(predicate, bind),
         },
         RelOp::Project { input, cols } => RelOp::Project {
-            input: Box::new(rebind_rel_op(input, b)),
+            input: Box::new(rebind_rel_op(input, bind)),
             cols: cols.clone(),
         },
         RelOp::Aggregate { input, aggs } => RelOp::Aggregate {
-            input: Box::new(rebind_rel_op(input, b)),
+            input: Box::new(rebind_rel_op(input, bind)),
             aggs: aggs.clone(),
         },
         RelOp::Distinct { input } => RelOp::Distinct {
-            input: Box::new(rebind_rel_op(input, b)),
+            input: Box::new(rebind_rel_op(input, bind)),
         },
         RelOp::Sort { input, keys } => RelOp::Sort {
-            input: Box::new(rebind_rel_op(input, b)),
+            input: Box::new(rebind_rel_op(input, bind)),
             keys: keys.clone(),
         },
         RelOp::Limit { input, n } => RelOp::Limit {
-            input: Box::new(rebind_rel_op(input, b)),
+            input: Box::new(rebind_rel_op(input, bind)),
             n: *n,
         },
     }
 }
 
-/// Substitute fresh literal bindings into a cached plan skeleton.
-///
-/// `old` are the bindings the plan was optimized with (stored alongside the
-/// cache entry), `new` the current instance's. Every predicate site — the
-/// plan's pattern constraints, the graph operators inside
-/// `SCAN_GRAPH_TABLE`, and the relational operators — is rewritten.
-/// Errors (rather than producing a wrong plan) when the substitution is
-/// ambiguous or incomplete; callers count a rebind failure and fall back to
-/// the optimizer.
+/// Substitute fresh literal bindings into a plan skeleton optimized from a
+/// slotted query (every plan a `Session` produces): slot `i` takes `new[i]`
+/// at every predicate site — the plan's pattern constraints, the graph
+/// operators inside `SCAN_GRAPH_TABLE`, and the relational operators.
+/// `old` are the bindings the plan was optimized with (stored alongside
+/// the cache entry). Errors only when `old` and `new` differ in arity.
 pub fn rebind_plan(plan: &PhysicalPlan, old: &[Value], new: &[Value]) -> Result<PhysicalPlan> {
     if old == new {
         return Ok(plan.clone());
     }
-    let mut b = Bindings::build(old, new)?;
-    let pattern = plan
-        .pattern
-        .map_predicates(&mut |e: &ScalarExpr| rebind_expr(e, &mut b));
-    let root = rebind_rel_op(&plan.root, &mut b);
-    b.check_complete()?;
-    Ok(PhysicalPlan { pattern, root })
-}
-
-/// Take the next positional slot value.
-fn take_slot(next: &mut usize, new: &[Value]) -> Result<Value> {
-    let v = new.get(*next).cloned().ok_or_else(|| {
-        RelGoError::query(format!(
-            "bind_query: template has more than {} slot(s), got {} binding(s)",
-            *next,
-            new.len()
-        ))
-    })?;
-    *next += 1;
-    Ok(v)
-}
-
-/// Positional mirror of [`render_template`]: replace each
-/// parameter-position literal with the next binding, traversing in exactly
-/// the order `parameterize` assigns slot indices.
-fn bind_template(expr: &ScalarExpr, next: &mut usize, new: &[Value]) -> Result<ScalarExpr> {
-    Ok(match expr {
-        ScalarExpr::Cmp(op, l, r) => match (is_lit(l), is_lit(r)) {
-            (false, true) => {
-                let l2 = bind_template(l, next, new)?;
-                let v = take_slot(next, new)?;
-                ScalarExpr::Cmp(*op, Box::new(l2), Box::new(ScalarExpr::Lit(v)))
-            }
-            (true, false) => {
-                let v = take_slot(next, new)?;
-                let r2 = bind_template(r, next, new)?;
-                ScalarExpr::Cmp(*op, Box::new(ScalarExpr::Lit(v)), Box::new(r2))
-            }
-            _ => ScalarExpr::Cmp(
-                *op,
-                Box::new(bind_template(l, next, new)?),
-                Box::new(bind_template(r, next, new)?),
-            ),
-        },
-        ScalarExpr::And(l, r) => ScalarExpr::And(
-            Box::new(bind_template(l, next, new)?),
-            Box::new(bind_template(r, next, new)?),
-        ),
-        ScalarExpr::Or(l, r) => ScalarExpr::Or(
-            Box::new(bind_template(l, next, new)?),
-            Box::new(bind_template(r, next, new)?),
-        ),
-        ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(bind_template(e, next, new)?)),
-        ScalarExpr::StartsWith(e, p) => {
-            ScalarExpr::StartsWith(Box::new(bind_template(e, next, new)?), p.clone())
-        }
-        ScalarExpr::Contains(e, p) => {
-            ScalarExpr::Contains(Box::new(bind_template(e, next, new)?), p.clone())
-        }
-        ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(bind_template(e, next, new)?)),
-        ScalarExpr::InList(e, list) => {
-            ScalarExpr::InList(Box::new(bind_template(e, next, new)?), list.clone())
-        }
-        leaf @ (ScalarExpr::Col(_) | ScalarExpr::Lit(_)) => leaf.clone(),
-    })
-}
-
-/// Substitute fresh literal bindings into a *query* (not a plan): the
-/// rebind-only entry point prepared statements use when their pinned
-/// skeleton is stale (or its by-value rebind ambiguous) and the instance
-/// must be re-optimized with the new literals.
-///
-/// Binding is **positional**, mirroring [`parameterize`]'s slot order —
-/// selection slots in expression-tree order, then pattern vertex/edge
-/// predicates in canonical element order — so unlike [`rebind_plan`]'s
-/// by-value substitution it can never be ambiguous: `new[i]` lands exactly
-/// in slot `i`. Errors on arity mismatch.
-pub fn bind_query(query: &SpjmQuery, new: &[Value]) -> Result<SpjmQuery> {
-    let form = relgo_pattern::canonical_form(&query.pattern);
-    let mut next = 0usize;
-    let mut q = query.clone();
-    q.selection = match &query.selection {
-        Some(e) => Some(bind_template(e, &mut next, new)?),
-        None => None,
-    };
-
-    // Pattern predicates bound in canonical element order (the slot
-    // order), then queued in *element index* order — the order
-    // `map_predicates` visits sites (vertices first, then edges).
-    let mut vpreds: Vec<Option<ScalarExpr>> = vec![None; query.pattern.vertex_count()];
-    let mut by_canon: Vec<(usize, usize)> = (0..query.pattern.vertex_count())
-        .map(|v| (form.vertex_perm[v], v))
-        .collect();
-    by_canon.sort_unstable();
-    for &(_, old) in &by_canon {
-        if let Some(p) = &query.pattern.vertex(old).predicate {
-            vpreds[old] = Some(bind_template(p, &mut next, new)?);
-        }
-    }
-    let mut epreds: Vec<Option<ScalarExpr>> = vec![None; query.pattern.edge_count()];
-    let mut edges_by_canon: Vec<(usize, usize)> = (0..query.pattern.edge_count())
-        .map(|e| (form.edge_perm[e], e))
-        .collect();
-    edges_by_canon.sort_unstable();
-    for &(_, old) in &edges_by_canon {
-        if let Some(p) = &query.pattern.edge(old).predicate {
-            epreds[old] = Some(bind_template(p, &mut next, new)?);
-        }
-    }
-    let mut queue: std::collections::VecDeque<ScalarExpr> =
-        vpreds.into_iter().chain(epreds).flatten().collect();
-    q.pattern = query
-        .pattern
-        .map_predicates(&mut |_| queue.pop_front().expect("one bound predicate per site"));
-
-    if next != new.len() {
-        return Err(RelGoError::query(format!(
-            "bind_query arity mismatch: template has {next} slot(s), got {} binding(s)",
+    if old.len() != new.len() {
+        return Err(RelGoError::plan(format!(
+            "rebind arity mismatch: {} cached slots, {} bindings",
+            old.len(),
             new.len()
         )));
     }
-    Ok(q)
+    let mut bind = |i: usize, _: &Value| new[i].clone();
+    let pattern = plan
+        .pattern
+        .map_predicates(&mut |e: &ScalarExpr| bind_expr(e, &mut bind));
+    let root = rebind_rel_op(&plan.root, &mut bind);
+    Ok(PhysicalPlan { pattern, root })
+}
+
+/// Substitute fresh literal bindings into a slotted query
+/// ([`ParamQuery::query`]): slot `i` takes `new[i]`. Prepared statements
+/// use it to re-optimize an instance when their pinned plan is stale.
+/// Errors unless `new` has exactly one value per slot (a query without
+/// slots has none).
+pub fn bind_query(query: &SpjmQuery, new: &[Value]) -> Result<SpjmQuery> {
+    let mut slots = 0usize;
+    let mut bind = |i: usize, v: &Value| {
+        slots = slots.max(i + 1);
+        new.get(i).unwrap_or(v).clone()
+    };
+    let selection = query.selection.as_ref().map(|e| bind_expr(e, &mut bind));
+    let pattern = query
+        .pattern
+        .map_predicates(&mut |e: &ScalarExpr| bind_expr(e, &mut bind));
+    if slots != new.len() {
+        return Err(RelGoError::query(format!(
+            "bind_query arity mismatch: template has {slots} slot(s), got {} binding(s)",
+            new.len()
+        )));
+    }
+    Ok(SpjmQuery {
+        pattern,
+        selection,
+        ..query.clone()
+    })
 }
 
 #[cfg(test)]
@@ -809,17 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn rebind_conflicting_duplicates_error() {
-        // Two slots share the old value but diverge in the new instance.
-        let old = vec![Value::Int(5), Value::Int(5)];
-        let new = vec![Value::Int(7), Value::Int(9)];
-        assert!(Bindings::build(&old, &new).is_err());
-        // Agreeing duplicates are fine.
-        let new_ok = vec![Value::Int(7), Value::Int(7)];
-        assert!(Bindings::build(&old, &new_ok).is_ok());
-    }
-
-    #[test]
     fn validate_bindings_checks_arity_and_tags() {
         assert!(validate_bindings("id", &[Value::Int(1), Value::Date(2)]).is_ok());
         assert!(validate_bindings("id", &[Value::Int(1)]).is_err(), "arity");
@@ -836,7 +696,7 @@ mod tests {
 
     #[test]
     fn bind_query_substitutes_and_reparameterizes_identically() {
-        let q1 = query(5, 100, false);
+        let q1 = parameterize(&query(5, 100, false)).query;
         let pq1 = parameterize(&q1);
         let q2 = bind_query(&q1, &[Value::Int(9), Value::Date(777)]).unwrap();
         let pq2 = parameterize(&q2);
@@ -854,8 +714,7 @@ mod tests {
     #[test]
     fn bind_query_is_positional_never_ambiguous() {
         // Both slots share the value 5 in the source instance; positional
-        // binding still lands each new value in its own slot (by-value
-        // `rebind_plan` would refuse this).
+        // binding still lands each new value in its own slot.
         let mut pb = PatternBuilder::new();
         let p = pb.vertex("p", LabelId(0));
         let m = pb.vertex("m", LabelId(1));
@@ -869,7 +728,7 @@ mod tests {
             Value::Int(5),
         )));
         b.project(&[mdate]);
-        let q = b.build();
+        let q = parameterize(&b.build()).query;
         assert_eq!(
             parameterize(&q).params,
             vec![Value::Int(5), Value::Int(5)],
@@ -888,15 +747,38 @@ mod tests {
 
     #[test]
     fn rebind_expr_substitutes_param_positions_only() {
-        let e = ScalarExpr::col_eq(0, 5i64).and(ScalarExpr::InList(
+        let slot = ScalarExpr::Cmp(
+            BinaryOp::Eq,
+            Box::new(ScalarExpr::Col(0)),
+            Box::new(ScalarExpr::Param(0, Value::Int(5))),
+        );
+        let e = slot.and(ScalarExpr::InList(
             Box::new(ScalarExpr::Col(1)),
             vec![Value::Int(5)],
         ));
-        let mut b = Bindings::build(&[Value::Int(5)], &[Value::Int(42)]).unwrap();
-        let rebound = rebind_expr(&e, &mut b);
+        let new = [Value::Int(42)];
+        let rebound = bind_expr(&e, &mut |i, _| new[i].clone());
         let s = rebound.to_string();
         assert!(s.contains("$0 = 42"), "{s}");
         assert!(s.contains("IN (5)"), "IN-list untouched: {s}");
-        assert!(b.check_complete().is_ok());
+    }
+
+    #[test]
+    fn parameterize_is_idempotent_on_the_slotted_query() {
+        let mut q = query(5, 100, true);
+        q.pattern
+            .add_vertex_predicate(1, ScalarExpr::col_eq(1, "Tom"));
+        q.pattern
+            .add_edge_predicate(0, ScalarExpr::col_cmp(0, BinaryOp::Gt, 7i64));
+        let pq = parameterize(&q);
+        assert_eq!(pq.params.len(), 4, "{:?}", pq.params);
+        assert!(
+            format!("{:?}", pq.query.selection).contains("Param(0, Int(5))"),
+            "slot 0 is written into the query: {:?}",
+            pq.query.selection
+        );
+        let again = parameterize(&pq.query);
+        assert_eq!(again.shape, pq.shape);
+        assert_eq!(again.params, pq.params);
     }
 }

@@ -9,11 +9,13 @@
 //! against the slot signature and substitutes literals into the pinned
 //! skeleton — no parse, no `parameterize`, no cache probe.
 //!
-//! The pin owns its skeleton: LRU eviction of the underlying cache entry
-//! never breaks a handle. Statistics-version invalidation still applies —
-//! every execute checks the pin against the cache's version and, when
-//! stale, transparently re-optimizes (with the fresh bindings, via
-//! [`relgo_core::bind_query`]), re-inserts, and re-pins. The
+//! The skeleton carries the template's literals as positional slots, so
+//! substituting a validated binding vector cannot fail. The pin owns its
+//! skeleton: LRU eviction of the underlying cache entry never breaks a
+//! handle. Statistics-version invalidation still applies — every execute
+//! checks the pin against the cache's version and, when stale,
+//! transparently re-optimizes (the slotted query bound to the fresh values
+//! via [`relgo_core::bind_query`]), re-inserts, and re-pins. The
 //! `prepared_hits` / `prepared_invalidations` cache metrics count the two
 //! outcomes.
 //!
@@ -47,11 +49,9 @@ use std::time::{Duration, Instant};
 pub struct PreparedStatement<'a> {
     session: &'a Session,
     mode: OptimizerMode,
-    /// The instance `prepare` captured (stale re-optimization rebinding
-    /// source).
+    /// The instance `prepare` captured, slotted (the stale re-optimize
+    /// binds it).
     query: SpjmQuery,
-    /// The instance's own literals, in slot order.
-    params: Vec<Value>,
     key: PlanKey,
     slot_sig: String,
     pinned: Mutex<PinnedPlan>,
@@ -69,7 +69,7 @@ pub struct BatchOutcome {
     /// Wall time of the shared batched execution.
     pub exec_time: Duration,
     /// How many of the batch's plans came straight from the pinned
-    /// skeleton (the rest re-optimized: stale pin or ambiguous rebind).
+    /// skeleton (the rest re-optimized because the pin was stale).
     pub pinned_queries: usize,
     /// Merged per-stage lifecycle timings of the whole batch (also recorded
     /// into the session's metrics registry, per-query-share).
@@ -92,7 +92,7 @@ impl Session {
             // `rebuild_statistics` leaves the entry and pin born stale
             // (next execute re-optimizes) rather than falsely current.
             let version = cache.stats_version();
-            let (plan, opt) = self.optimize(query, mode)?;
+            let (plan, opt) = self.optimize_slotted(&self.state(), &pq.query, mode)?;
             let plan = Arc::new(plan);
             // Like a cached run: a timed-out fallback plan is not worth
             // pinning for every future instance — but the handle still
@@ -105,8 +105,7 @@ impl Session {
         Ok(PreparedStatement {
             session: self,
             mode,
-            query: query.clone(),
-            params: pq.params,
+            query: pq.query,
             key,
             slot_sig: pq.slot_sig,
             pinned: Mutex::new(pinned),
@@ -130,11 +129,6 @@ impl PreparedStatement<'_> {
         &self.slot_sig
     }
 
-    /// The literals the statement was prepared with, in slot order.
-    pub fn params(&self) -> &[Value] {
-        &self.params
-    }
-
     /// Whether the pinned skeleton is still planned under the session's
     /// current statistics version (`false` means the next execute will
     /// transparently re-optimize).
@@ -144,11 +138,12 @@ impl PreparedStatement<'_> {
             .pin_is_current(&self.pinned.lock())
     }
 
-    /// Resolve one binding vector to an executable plan: the pinned
-    /// skeleton rebound (the hot path), or a transparent re-optimize when
-    /// the pin is stale / the rebind is ambiguous. Returns the plan, the
-    /// re-optimization's statistics (zeroed on the pinned path; the caller
-    /// charges the elapsed time), and whether the pinned path served it.
+    /// Resolve one binding vector (already validated against the slot
+    /// signature) to an executable plan: the pinned skeleton rebound (the
+    /// hot path), or a transparent re-optimize when the pin is stale.
+    /// Returns the plan, the re-optimization's statistics (zeroed on the
+    /// pinned path; the caller charges the elapsed time), and whether the
+    /// pinned path served it.
     ///
     /// The pin mutex is held only to snapshot (or replace) the pin — the
     /// rebind and any re-optimization run outside it, so concurrent
@@ -164,27 +159,21 @@ impl PreparedStatement<'_> {
             cache.pin_is_current(&pinned).then(|| pinned.clone())
         };
         if let Some(pin) = snapshot {
-            match trace.time(Stage::Rebind, || {
+            let plan = trace.time(Stage::Rebind, || {
                 rebind_plan(&pin.plan, &pin.params, bindings)
-            }) {
-                Ok(plan) => {
-                    cache.note_prepared_hit();
-                    return Ok((Arc::new(plan), OptStats::default(), true));
-                }
-                // Ambiguous rebind (slots that shared a value in the pin
-                // diverged): fall through to a fresh optimization, like a
-                // cached run does.
-                Err(_) => cache.note_rebind_failure(),
-            }
-        } else {
-            cache.note_prepared_invalidation();
+            })?;
+            cache.note_prepared_hit();
+            return Ok((Arc::new(plan), OptStats::default(), true));
         }
+        cache.note_prepared_invalidation();
         // Version snapshot before optimizing (see `Session::run_with`):
         // a racing rebuild leaves the new entry and pin born stale.
         let version = cache.stats_version();
         let query = trace.time(Stage::Parameterize, || bind_query(&self.query, bindings))?;
-        let (plan, opt) =
-            trace.time(Stage::Optimize, || self.session.optimize(&query, self.mode))?;
+        let (plan, opt) = trace.time(Stage::Optimize, || {
+            self.session
+                .optimize_slotted(&self.session.state(), &query, self.mode)
+        })?;
         let plan = Arc::new(plan);
         if !opt.timed_out {
             cache.insert_at(

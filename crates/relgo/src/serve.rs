@@ -71,7 +71,7 @@ pub enum ServeMode {
     /// Prepared, with each worker's draws executed in batches of `batch`
     /// bindings through the shared batch operator state.
     PreparedBatched {
-        /// Bindings per `execute_batch` call (≥ 1).
+        /// Binding vectors per `execute_batch` call (≥ 1).
         batch: usize,
     },
     /// Interleave writers and readers: `writers` concurrent writer threads

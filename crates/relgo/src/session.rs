@@ -832,16 +832,30 @@ impl Session {
         }
     }
 
+    /// Plan `query` with its comparison literals as slots (see
+    /// [`relgo_core::parameterize`]), so every plan the session hands out
+    /// rebinds positionally.
     pub(crate) fn optimize_at(
         &self,
         state: &SessionState,
         query: &SpjmQuery,
         mode: OptimizerMode,
     ) -> Result<(PhysicalPlan, OptStats)> {
-        optimize(query, mode, &self.planner_context(state))
+        self.optimize_slotted(state, &parameterize(query).query, mode)
     }
 
-    /// Optimize a query under `mode`.
+    /// Plan an already slotted query ([`relgo_core::ParamQuery::query`]).
+    pub(crate) fn optimize_slotted(
+        &self,
+        state: &SessionState,
+        slotted: &SpjmQuery,
+        mode: OptimizerMode,
+    ) -> Result<(PhysicalPlan, OptStats)> {
+        optimize(slotted, mode, &self.planner_context(state))
+    }
+
+    /// Optimize a query under `mode`. The plan carries the query's
+    /// comparison literals as slots, ready for [`relgo_core::rebind_plan`].
     pub fn optimize(
         &self,
         query: &SpjmQuery,
@@ -917,8 +931,8 @@ impl Session {
     }
 
     /// The planning half of [`Session::run_with`]: a fresh optimization,
-    /// or — with `opts.cached` — a plan-cache probe and rebind that falls
-    /// back to optimizing and inserting.
+    /// or — with `opts.cached` — a plan-cache probe whose hit is rebound
+    /// and whose miss is optimized and inserted.
     fn plan_at(
         &self,
         state: &SessionState,
@@ -939,26 +953,28 @@ impl Session {
         }
         let opt_start = Instant::now();
         let pq = trace.time(Stage::Parameterize, || parameterize(query));
-        let key = pq.key(mode);
-        if let Some((skeleton, cached_params)) =
-            trace.time(Stage::CacheProbe, || self.cache.lookup(&key))
-        {
-            match trace.time(Stage::Rebind, || {
-                rebind_plan(&skeleton, &cached_params, &pq.params)
-            }) {
-                Ok(plan) => {
-                    return Ok(Planned {
-                        plan: Arc::new(plan),
-                        mode,
-                        opt: OptStats {
-                            elapsed: opt_start.elapsed(),
-                            ..OptStats::default()
-                        },
-                        cached: true,
-                    })
-                }
-                Err(_) => self.cache.note_rebind_failure(),
-            }
+        let (key, hit) = trace.time(Stage::CacheProbe, || {
+            let key = pq.key(mode);
+            let hit = self.cache.lookup(&key);
+            (key, hit)
+        });
+        if let Some((skeleton, cached_params)) = hit {
+            let plan = trace.time(Stage::Rebind, || {
+                let plan = rebind_plan(&skeleton, &cached_params, &pq.params);
+                // Free the instance (slotted query included) inside the
+                // stage that consumes it.
+                drop((skeleton, cached_params, pq));
+                plan.map(Arc::new)
+            })?;
+            return Ok(Planned {
+                plan,
+                mode,
+                opt: OptStats {
+                    elapsed: opt_start.elapsed(),
+                    ..OptStats::default()
+                },
+                cached: true,
+            });
         }
         // Snapshot the statistics version *before* optimizing: if a
         // `rebuild_statistics` or ingest commit races past while the
@@ -966,8 +982,9 @@ impl Session {
         // version and dies on its next lookup instead of being served as
         // current.
         let version = self.cache.stats_version();
-        let (plan, mut opt) =
-            trace.time(Stage::Optimize, || self.optimize_at(state, query, mode))?;
+        let (plan, mut opt) = trace.time(Stage::Optimize, || {
+            self.optimize_slotted(state, &pq.query, mode)
+        })?;
         let plan = Arc::new(plan);
         // A timed-out search produced a fallback plan; don't pin it for
         // every future instance of the template.
@@ -1007,8 +1024,8 @@ impl Session {
 
     /// The query pipeline: plan (`opts.cached` reuses plans through the
     /// plan cache — the parameterized query probes it, a hit rebinds the
-    /// cached skeleton with this instance's literals without touching the
-    /// optimizer, and a miss or ambiguous rebind optimizes and inserts),
+    /// cached skeleton's slots to this instance's literals without touching
+    /// the optimizer, and a miss optimizes and inserts),
     /// then execute under `opts.deadline` with `opts.profile`. The whole
     /// query runs against one pinned epoch. The [`PlanReport`] is `Some`
     /// exactly when profiling is on; result rows are bit-identical either
@@ -1174,6 +1191,54 @@ mod tests {
     use super::*;
     use relgo_common::Value;
     use relgo_workloads::snb_queries;
+
+    /// EXPLAIN text with every operator's estimated rows and cost.
+    fn costed_explain(plan: &PhysicalPlan, db: &relgo_storage::Database) -> String {
+        let metas = plan.operator_metas(db);
+        plan.explain_annotated(|id| {
+            format!("  [est={} cost={}]", metas[id].est_rows, metas[id].est_cost)
+        })
+    }
+
+    /// Planning the slotted query changes no plan under any mode (UmbraLike
+    /// reads slot values through histograms): operators, estimates and
+    /// costs match planning the raw query, and the raw query's GLogue
+    /// lookups hit the entries the slotted one counted.
+    fn assert_slotting_changes_no_plan(session: &Session, workloads: &[relgo_workloads::Workload]) {
+        let state = session.state();
+        for mode in OptimizerMode::ALL {
+            for w in workloads {
+                let (slotted, _) = session.optimize(&w.query, mode).unwrap();
+                let counted = state.glogue.cached_patterns();
+                let (raw, _) = optimize(&w.query, mode, &session.planner_context(&state)).unwrap();
+                assert_eq!(
+                    costed_explain(&slotted, &state.db),
+                    costed_explain(&raw, &state.db),
+                    "{} under {}",
+                    w.name,
+                    mode.name()
+                );
+                assert_eq!(
+                    state.glogue.cached_patterns(),
+                    counted,
+                    "{} under {}: slots share GLogue keys with literals",
+                    w.name,
+                    mode.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slotting_changes_no_plan_on_snb_ic_and_job() {
+        let (snb, schema) = Session::snb(0.03, 42).unwrap();
+        assert_slotting_changes_no_plan(&snb, &snb_queries::ldbc_interactive(&schema).unwrap());
+        let (imdb, schema) = Session::imdb(0.05, 7).unwrap();
+        assert_slotting_changes_no_plan(
+            &imdb,
+            &relgo_workloads::job_queries::job_queries(&schema).unwrap(),
+        );
+    }
 
     #[test]
     fn snb_session_runs_fig1_in_all_modes() {

@@ -670,18 +670,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
         // The idle timeout governs the quiet gap before the next request
         // line; once bytes flow, read_request tightens it to READ_TIMEOUT.
         let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
-        let start = Instant::now();
-        let (req, endpoint, response) = match read_request(&mut reader, &stream, shared.config) {
-            ReadOutcome::Closed => break,
-            ReadOutcome::Bad(response) => (None, Endpoint::Other, response),
-            ReadOutcome::Request(req) => {
-                let endpoint = route(&req);
-                shared.metrics.active.add(1);
-                let response = dispatch(endpoint, &req, shared);
-                shared.metrics.active.add(-1);
-                (Some(req), endpoint, response)
-            }
-        };
+        // Restarted by read_request once the request line arrives: the idle
+        // gap before it is the client's time, not the request's.
+        let mut start = Instant::now();
+        let (req, endpoint, response) =
+            match read_request(&mut reader, &stream, shared.config, &mut start) {
+                ReadOutcome::Closed => break,
+                ReadOutcome::Bad(response) => (None, Endpoint::Other, response),
+                ReadOutcome::Request(req) => {
+                    let endpoint = route(&req);
+                    shared.metrics.active.add(1);
+                    let response = dispatch(endpoint, &req, shared);
+                    shared.metrics.active.add(-1);
+                    (Some(req), endpoint, response)
+                }
+            };
         seq += 1;
         shared.requests.fetch_add(1, Ordering::Relaxed);
         if seq > 1 {
@@ -774,15 +777,19 @@ fn read_header_line(
 /// the old `unwrap_or(0)` would desynchronize every later request on the
 /// connection), an oversized declared body is `413` *before* any buffer
 /// is allocated, and query-string percent-escapes must decode to valid
-/// UTF-8 (`400`).
+/// UTF-8 (`400`). `arrived` is set once the request line has been read —
+/// the start of the request's clock.
 fn read_request(
     reader: &mut BufReader<&TcpStream>,
     stream: &TcpStream,
     config: &ServerConfig,
+    arrived: &mut Instant,
 ) -> ReadOutcome {
     let mut header_budget = config.max_header_bytes;
     let mut line = String::new();
-    match read_header_line(reader, &mut line, &mut header_budget) {
+    let first = read_header_line(reader, &mut line, &mut header_budget);
+    *arrived = Instant::now();
+    match first {
         Ok(LineRead::Line) => {}
         // EOF, idle timeout, or any transport error before a request
         // line: nobody is waiting for a response.
@@ -1314,7 +1321,7 @@ fn handle_execute(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) ->
             None => return Response::err(400, format!("unknown statement {id}")),
         }
     };
-    // Bindings come from exactly one of two places: client-supplied
+    // Binding values come from exactly one of two places: client-supplied
     // wire-tagged values (`bind=i:42|s:x`, the `|`/`%` wire-escaped then
     // URL-escaped — the query-param decode already stripped the URL
     // layer), or the template's deterministic generator (`draw=N`).

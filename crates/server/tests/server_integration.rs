@@ -1026,6 +1026,11 @@ fn keepalive_deadlines_framing_and_access_log() {
             let mut idle = KeepAliveClient::connect(&addr);
             let (status, _, _) = idle.send("GET", "/healthz", "");
             assert_eq!(status, 200);
+            // A reused request after a quiet gap inside idle_timeout: the
+            // gap must stay out of its access-log micros (checked below).
+            std::thread::sleep(Duration::from_millis(200));
+            let (status, _, _) = idle.send("GET", "/metrics", "");
+            assert_eq!(status, 200);
             std::thread::sleep(Duration::from_millis(900));
             assert!(
                 idle.closed_by_server(),
@@ -1203,6 +1208,7 @@ fn keepalive_deadlines_framing_and_access_log() {
     );
     let mut saw_query_stages = false;
     let mut saw_431 = false;
+    let mut saw_idle_gap = false;
     for line in &lines {
         assert!(
             line.starts_with('{') && line.ends_with('}'),
@@ -1221,8 +1227,23 @@ fn keepalive_deadlines_framing_and_access_log() {
             saw_query_stages |= line.contains("\"stages\":{") && line.contains("\"execute\":");
         }
         saw_431 |= line.contains("\"status\":431");
+        // The only reused /metrics request is the one sent after the gap.
+        if line.contains("\"endpoint\":\"metrics\"") && line.contains("\"seq\":2,") {
+            let micros: u64 = line
+                .split("\"micros\":")
+                .nth(1)
+                .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                .and_then(|digits| digits.parse().ok())
+                .expect("micros field");
+            assert!(
+                micros < 100_000,
+                "the idle gap before a reused request is not its latency: {line}"
+            );
+            saw_idle_gap = true;
+        }
     }
     assert!(saw_query_stages, "served queries log per-stage micros");
     assert!(saw_431, "framing rejections are logged too");
+    assert!(saw_idle_gap, "the post-gap request is logged");
     std::fs::remove_file(&log_path).ok();
 }

@@ -73,6 +73,10 @@ pub enum ScalarExpr {
     Col(usize),
     /// A literal value.
     Lit(Value),
+    /// A parameter-slot literal: slot index and current value. It
+    /// evaluates, estimates and displays exactly like `Lit(value)`; plan
+    /// rebinding rewrites the value of slot `i` positionally.
+    Param(usize, Value),
     /// Comparison of two sub-expressions.
     Cmp(BinaryOp, Box<ScalarExpr>, Box<ScalarExpr>),
     /// Logical conjunction.
@@ -128,6 +132,14 @@ impl ScalarExpr {
         }
     }
 
+    /// The value of a literal leaf — `Lit` or slot `Param` alike.
+    pub fn literal(&self) -> Option<&Value> {
+        match self {
+            ScalarExpr::Lit(v) | ScalarExpr::Param(_, v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// Evaluate to a [`Value`] for row `row` of `table`.
     pub fn eval(&self, table: &Table, row: RowId) -> Result<Value> {
         match self {
@@ -140,7 +152,7 @@ impl ScalarExpr {
                 }
                 Ok(table.value(row, *i))
             }
-            ScalarExpr::Lit(v) => Ok(v.clone()),
+            ScalarExpr::Lit(v) | ScalarExpr::Param(_, v) => Ok(v.clone()),
             ScalarExpr::Cmp(op, l, r) => {
                 let lv = l.eval(table, row)?;
                 let rv = r.eval(table, row)?;
@@ -213,7 +225,7 @@ impl ScalarExpr {
     pub fn remap_columns(&self, mapping: &dyn Fn(usize) -> usize) -> ScalarExpr {
         match self {
             ScalarExpr::Col(i) => ScalarExpr::Col(mapping(*i)),
-            ScalarExpr::Lit(v) => ScalarExpr::Lit(v.clone()),
+            leaf @ (ScalarExpr::Lit(_) | ScalarExpr::Param(..)) => leaf.clone(),
             ScalarExpr::Cmp(op, l, r) => ScalarExpr::Cmp(
                 *op,
                 Box::new(l.remap_columns(mapping)),
@@ -253,7 +265,7 @@ impl ScalarExpr {
     fn collect_columns(&self, out: &mut Vec<usize>) {
         match self {
             ScalarExpr::Col(i) => out.push(*i),
-            ScalarExpr::Lit(_) => {}
+            ScalarExpr::Lit(_) | ScalarExpr::Param(..) => {}
             ScalarExpr::Cmp(_, l, r) | ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => {
                 l.collect_columns(out);
                 r.collect_columns(out);
@@ -270,7 +282,7 @@ impl ScalarExpr {
     /// low-order-statistics path used by the graph-agnostic optimizers.
     pub fn estimated_selectivity(&self) -> f64 {
         match self {
-            ScalarExpr::Col(_) | ScalarExpr::Lit(_) => 1.0,
+            ScalarExpr::Col(_) | ScalarExpr::Lit(_) | ScalarExpr::Param(..) => 1.0,
             ScalarExpr::Cmp(op, _, _) => op.default_selectivity(),
             ScalarExpr::And(l, r) => {
                 (l.estimated_selectivity() * r.estimated_selectivity()).max(1e-9)
@@ -292,7 +304,7 @@ impl fmt::Display for ScalarExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScalarExpr::Col(i) => write!(f, "${i}"),
-            ScalarExpr::Lit(v) => match v {
+            ScalarExpr::Lit(v) | ScalarExpr::Param(_, v) => match v {
                 Value::Str(s) => write!(f, "'{s}'"),
                 other => write!(f, "{other}"),
             },

@@ -126,11 +126,11 @@ pub fn predicate_selectivity(table: &Table, expr: &ScalarExpr) -> f64 {
         ScalarExpr::Cmp(op, l, r) => {
             // col <op> literal (either orientation).
             let (col, lit, op) = match (l.as_ref(), r.as_ref()) {
-                (ScalarExpr::Col(c), ScalarExpr::Lit(v)) => (*c, v.clone(), *op),
-                (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => (*c, v.clone(), flip(*op)),
+                (ScalarExpr::Col(c), lit) => (*c, lit, *op),
+                (lit, ScalarExpr::Col(c)) => (*c, lit, flip(*op)),
                 _ => return expr.estimated_selectivity(),
             };
-            let Some(v) = lit.as_int() else {
+            let Some(v) = lit.literal().and_then(Value::as_int) else {
                 return expr.estimated_selectivity();
             };
             let Some(h) = Histogram::build(table, col) else {

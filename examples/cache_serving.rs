@@ -67,8 +67,8 @@ fn main() -> Result<()> {
 
     let m = session.cache_metrics();
     println!(
-        "  cache metrics: hits={} misses={} evictions={} invalidations={} rebind_failures={}",
-        m.hits, m.misses, m.evictions, m.invalidations, m.rebind_failures
+        "  cache metrics: hits={} misses={} evictions={} invalidations={}",
+        m.hits, m.misses, m.evictions, m.invalidations
     );
     assert_eq!(m.misses as usize, templates.len(), "one miss per template");
     assert_eq!(m.hits as usize, report.queries, "replay is hits-only");

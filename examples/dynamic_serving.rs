@@ -136,8 +136,8 @@ fn main() -> Result<()> {
     // the ingest traffic.
     let m = report.metrics;
     println!(
-        "  replay cache deltas: hits={} misses={} invalidations={} prepared_hits={} prepared_invalidations={} rebind_failures={}",
-        m.hits, m.misses, m.invalidations, m.prepared_hits, m.prepared_invalidations, m.rebind_failures
+        "  replay cache deltas: hits={} misses={} invalidations={} prepared_hits={} prepared_invalidations={}",
+        m.hits, m.misses, m.invalidations, m.prepared_hits, m.prepared_invalidations
     );
     assert_eq!(report.commits, commits);
     let writer_rounds = commits.div_ceil(writers);

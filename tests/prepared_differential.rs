@@ -246,11 +246,11 @@ fn evicted_entry_does_not_break_pinned_handle() {
     );
 }
 
-/// An ambiguous rebind on a prepared handle (pin slots that shared a value
-/// diverge) falls back to a fresh optimization of the rebound query and
-/// stays correct — mirroring `run_cached`'s rebind-failure fallback.
+/// Pin slots that shared a value diverge: binding is positional, so the
+/// prepared handle serves the instance from its pin, bit-identical to
+/// `run` — mirroring `run_cached`.
 #[test]
-fn ambiguous_prepared_rebind_falls_back() {
+fn colliding_prepared_slots_are_served_from_the_pin() {
     use relgo::core::spjm::SpjmBuilder;
     use relgo::pattern::PatternBuilder;
     use relgo::storage::BinaryOp;
@@ -275,12 +275,12 @@ fn ambiguous_prepared_rebind_falls_back() {
     // Prepare with colliding slot values (5, 5)…
     let stmt = session.prepare(&make(5, 5), OptimizerMode::RelGo).unwrap();
     let before = session.cache_metrics();
-    // …then diverge: by-value rebinding is ambiguous, so execute must fall
-    // back to the optimizer and still return the right rows.
+    // …then diverge: each new value lands in its own slot, so execute is
+    // served from the pin and returns the right rows.
     let out = stmt.execute(&[Value::Int(3), Value::Int(15_000)]).unwrap();
-    assert!(!out.cached, "ambiguous rebind must not serve from the pin");
+    assert!(out.cached, "colliding slots rebind positionally");
     let delta = session.cache_metrics().since(&before);
-    assert!(delta.rebind_failures >= 1, "{delta:?}");
+    assert_eq!(delta.prepared_hits, 1, "{delta:?}");
     let expected = session.run(&make(3, 15_000), OptimizerMode::RelGo).unwrap();
     assert!(bit_identical(&out.table, &expected.table));
 }
